@@ -2,10 +2,13 @@ use fastmon_netlist::Circuit;
 use rand::prelude::*;
 use rand_chacha::ChaCha8Rng;
 
+use fastmon_sim::StatePool;
+
 use crate::matrix::effective_threads;
+use crate::podem::{PodemModel, PodemScratch};
 use crate::{
-    transition_faults, AtpgError, DetectionMatrix, FaultCones, GradeScratch, PodemEngine,
-    PodemOutcome, StuckAtFault, TestPattern, TestSet, TransitionFault, WordSim,
+    transition_faults, AtpgError, DetectionMatrix, FaultCones, GradeScratch, PodemOutcome,
+    StuckAtFault, TestPattern, TestSet, TransitionFault, WordSim,
 };
 
 /// Configuration of the transition-fault ATPG flow.
@@ -23,8 +26,10 @@ pub struct AtpgConfig {
     /// Optional hard cap on the final pattern count; when the compacted set
     /// is larger, patterns are greedily selected for maximum coverage.
     pub max_patterns: Option<usize>,
-    /// Worker threads for fault grading (`0` = all available cores).
-    /// Results are bit-identical for any value.
+    /// Worker threads for fault grading and for the deterministic PODEM
+    /// phase, which searches windows of upcoming faults in parallel and
+    /// commits them in worklist order (`0` = all available cores).
+    /// Results and PODEM counters are bit-identical for any value.
     pub threads: usize,
 }
 
@@ -127,6 +132,50 @@ pub(crate) fn retain_undetected(
     Ok(())
 }
 
+/// Patterns graded per flush of the deterministic phase; also the number
+/// of faults a parallel PODEM window searches ahead.
+const FLUSH_BLOCK: usize = 64;
+
+/// The launch and capture searches of one transition fault, with the
+/// counters they recorded (merged only if the fault is committed).
+struct FaultSearch {
+    launch: PodemOutcome,
+    capture: PodemOutcome,
+    metrics: fastmon_obs::AtpgMetrics,
+}
+
+/// Runs PODEM for `fault`: justify the initial value (launch vector) and
+/// detect the stuck-at-initial-value fault (capture vector).
+fn search_fault(
+    model: &PodemModel<'_>,
+    scratch: &mut PodemScratch,
+    fault: &TransitionFault,
+    max_backtracks: u32,
+) -> FaultSearch {
+    let metrics = fastmon_obs::AtpgMetrics::new();
+    let launch = model.justify(
+        scratch,
+        fault.gate,
+        fault.initial_value(),
+        max_backtracks,
+        Some(&metrics),
+    );
+    let capture = model.podem(
+        scratch,
+        &StuckAtFault {
+            node: fault.gate,
+            stuck_at: fault.initial_value(),
+        },
+        max_backtracks,
+        Some(&metrics),
+    );
+    FaultSearch {
+        launch,
+        capture,
+        metrics,
+    }
+}
+
 /// Generates a compacted transition-fault test set for a full-scan circuit.
 ///
 /// See the [crate docs](crate) for the pipeline. Deterministic in
@@ -171,15 +220,17 @@ pub fn generate_with_metrics(
 
 /// Fallible, cancellable variant of [`generate_with_metrics`].
 ///
-/// Checks `cancel` between PODEM targets and observes the `atpg_podem` and
-/// `atpg_grade` failpoints; grading-worker panics are contained and
-/// surfaced as typed errors rather than unwinding the caller.
+/// Checks `cancel` and the `atpg_podem` failpoint at every committed PODEM
+/// target (in worklist order, so at the same target for any thread
+/// count) and observes the `atpg_grade` failpoint; grading- and
+/// PODEM-worker panics are contained and surfaced as typed errors rather
+/// than unwinding the caller.
 ///
 /// # Errors
 ///
 /// - [`AtpgError::Cancelled`] when `cancel` is triggered mid-generation,
 /// - [`AtpgError::Injected`] when the `atpg_podem` failpoint fires,
-/// - [`AtpgError::WorkerPanicked`] when a grading worker panics.
+/// - [`AtpgError::WorkerPanicked`] when a grading or PODEM worker panics.
 pub fn try_generate_with_metrics(
     circuit: &Circuit,
     config: &AtpgConfig,
@@ -222,17 +273,32 @@ pub fn try_generate_with_metrics(
     drop(random_span);
 
     // --- deterministic phase ----------------------------------------------
+    // Fault-parallel PODEM with in-order commit. Between two pattern
+    // flushes the faults to target are fixed (the still-remaining worklist
+    // entries, in order) and each search is a pure function of the circuit,
+    // the fault and the backtrack limit, so a window of upcoming faults is
+    // searched speculatively on the pool. The calling thread then commits
+    // the window in worklist order exactly as a serial loop would: failpoint
+    // and cancel check, X-fill from the one RNG, flush every
+    // `FLUSH_BLOCK` patterns. A fault a flush earlier in the same window
+    // detected is discarded uncounted, so output and PODEM counters are
+    // identical for every thread count.
     let podem_span = fastmon_obs::span!("atpg_podem");
-    // one engine for every fault: buffers and fanout cones are cached and
-    // reused across the whole worklist
-    let mut engine = PodemEngine::new(circuit);
+    // testability and static learning once per generate, shared by every
+    // worker; each worker leases its own search scratch
+    let model = PodemModel::new(circuit);
+    let scratch_pool = StatePool::new();
+    // one thread searches exactly the fault it commits next, so nothing
+    // is ever speculative
+    let window = if threads > 1 { FLUSH_BLOCK } else { 1 };
     let mut untestable = 0usize;
     let mut aborted = 0usize;
     let mut pending: Vec<TestPattern> = Vec::new();
-    let mut still_undetected = Vec::new();
 
+    // Grades the pending patterns against the remaining faults, drops the
+    // ones they detect and moves the patterns into the set.
     let flush = |pending: &mut Vec<TestPattern>,
-                 undetected: &mut Vec<usize>,
+                 remaining: &mut [bool],
                  set: &mut TestSet|
      -> Result<(), AtpgError> {
         if pending.is_empty() {
@@ -243,80 +309,84 @@ pub fn try_generate_with_metrics(
             chunk.push(p);
         }
         let ws = WordSim::new(circuit, &chunk);
-        retain_undetected(undetected, &ws, &faults, &cones, threads, metrics)?;
+        let mut undet: Vec<usize> = (0..faults.len()).filter(|&g| remaining[g]).collect();
+        retain_undetected(&mut undet, &ws, &faults, &cones, threads, metrics)?;
+        remaining.fill(false);
+        for g in undet {
+            remaining[g] = true;
+        }
         for p in pending.drain(..) {
             set.push(p);
         }
         Ok(())
     };
 
-    let worklist = undetected.clone();
-    undetected.clear();
+    let worklist = undetected;
     let mut remaining: Vec<bool> = vec![false; faults.len()];
     for &f in &worklist {
         remaining[f] = true;
     }
-
-    for f in worklist {
-        if !remaining[f] {
-            continue;
+    let mut cursor = 0;
+    let mut targets: Vec<usize> = Vec::with_capacity(window);
+    loop {
+        targets.clear();
+        while targets.len() < window && cursor < worklist.len() {
+            let f = worklist[cursor];
+            cursor += 1;
+            if remaining[f] {
+                targets.push(f);
+            }
         }
-        fastmon_obs::failpoints::fire("atpg_podem")
-            .map_err(|e| AtpgError::Injected { site: e.site })?;
-        if cancel.is_some_and(fastmon_obs::CancelToken::is_cancelled) {
-            return Err(AtpgError::Cancelled { phase: "atpg" });
+        if targets.is_empty() {
+            break;
         }
-        let fault: &TransitionFault = &faults[f];
-        let launch = engine.justify_with_metrics(
-            fault.gate,
-            fault.initial_value(),
-            config.max_backtracks,
-            metrics,
-        );
-        let capture = engine.podem_with_metrics(
-            &StuckAtFault {
-                node: fault.gate,
-                stuck_at: fault.initial_value(),
-            },
-            config.max_backtracks,
-            metrics,
-        );
-        match (launch, capture) {
-            (PodemOutcome::Test(l), PodemOutcome::Test(c)) => {
-                let fill = |bits: Vec<Option<bool>>, rng: &mut ChaCha8Rng| -> Vec<bool> {
-                    bits.into_iter()
-                        .map(|b| b.unwrap_or_else(|| rng.gen()))
-                        .collect()
-                };
-                let pattern = TestPattern::new(fill(l, &mut rng), fill(c, &mut rng));
-                pending.push(pattern);
-                remaining[f] = false;
-                // opportunistically grade accumulated patterns in blocks
-                if pending.len() == 64 {
-                    let mut undet: Vec<usize> =
-                        (0..faults.len()).filter(|&g| remaining[g]).collect();
-                    flush(&mut pending, &mut undet, &mut set)?;
-                    remaining.fill(false);
-                    for g in undet {
-                        remaining[g] = true;
+        let searches = fastmon_sim::try_parallel_map_with(
+            targets.len(),
+            threads,
+            || scratch_pool.lease(|| model.scratch()),
+            |scratch, i| search_fault(&model, scratch, &faults[targets[i]], config.max_backtracks),
+        )
+        .map_err(|panic| AtpgError::WorkerPanicked {
+            phase: "atpg_podem",
+            message: panic.message(),
+        })?;
+        for (&f, search) in targets.iter().zip(searches) {
+            if !remaining[f] {
+                if let Some(m) = metrics {
+                    m.podem_speculative_discarded.incr();
+                }
+                continue;
+            }
+            fastmon_obs::failpoints::fire("atpg_podem")
+                .map_err(|e| AtpgError::Injected { site: e.site })?;
+            if cancel.is_some_and(fastmon_obs::CancelToken::is_cancelled) {
+                return Err(AtpgError::Cancelled { phase: "atpg" });
+            }
+            if let Some(m) = metrics {
+                m.absorb(&search.metrics);
+            }
+            remaining[f] = false;
+            match (search.launch, search.capture) {
+                (PodemOutcome::Test(l), PodemOutcome::Test(c)) => {
+                    let mut fill = |bits: Vec<Option<bool>>| -> Vec<bool> {
+                        bits.into_iter()
+                            .map(|b| b.unwrap_or_else(|| rng.gen()))
+                            .collect()
+                    };
+                    let launch = fill(l);
+                    let capture = fill(c);
+                    pending.push(TestPattern::new(launch, capture));
+                    // opportunistically grade accumulated patterns in blocks
+                    if pending.len() == FLUSH_BLOCK {
+                        flush(&mut pending, &mut remaining, &mut set)?;
                     }
                 }
-            }
-            (PodemOutcome::Untestable, _) | (_, PodemOutcome::Untestable) => {
-                untestable += 1;
-                remaining[f] = false;
-            }
-            _ => {
-                aborted += 1;
-                remaining[f] = false;
-                still_undetected.push(f);
+                (PodemOutcome::Untestable, _) | (_, PodemOutcome::Untestable) => untestable += 1,
+                _ => aborted += 1,
             }
         }
     }
-    {
-        let mut undet: Vec<usize> = (0..faults.len()).filter(|&g| remaining[g]).collect();
-        flush(&mut pending, &mut undet, &mut set)?;
-    }
+    flush(&mut pending, &mut remaining, &mut set)?;
     drop(podem_span);
 
     // --- compaction --------------------------------------------------------

@@ -1,3 +1,5 @@
+use std::sync::OnceLock;
+
 use fastmon_netlist::{Circuit, ConeMarks, GateKind, NodeId};
 
 use crate::logic5::{eval5, V5};
@@ -198,6 +200,22 @@ fn x_path_cone(circuit: &Circuit, seed: NodeId, marks: &mut ConeMarks) -> Box<[N
     cone.into_boxed_slice()
 }
 
+/// The fanout cone of `node` from its write-once cache `cell`, built on
+/// first use with the caller's scratch (concurrent first uses agree: the
+/// cone is a pure function of the circuit).
+fn cached_cone<'a>(
+    circuit: &Circuit,
+    cell: &'a OnceLock<Box<[NodeId]>>,
+    node: NodeId,
+    marks: &mut ConeMarks,
+    buf: &mut Vec<NodeId>,
+) -> &'a [NodeId] {
+    cell.get_or_init(|| {
+        circuit.fanout_cone_into(node, marks, buf);
+        buf.as_slice().into()
+    })
+}
+
 /// Cost ceiling for the SCOAP estimates: saturating "unreachable /
 /// unjustifiable". Far below `u32::MAX` so sums of several INF terms
 /// cannot wrap.
@@ -359,7 +377,7 @@ impl Learned {
         circuit: &Circuit,
         sources: &[NodeId],
         source_pos: &[usize],
-        cones: &mut [Option<Box<[NodeId]>>],
+        cones: &[OnceLock<Box<[NodeId]>>],
         marks: &mut ConeMarks,
     ) -> Self {
         let n = circuit.len();
@@ -387,10 +405,7 @@ impl Learned {
         let mut low_pass: Vec<Option<bool>> = vec![None; n];
         let mut cone_buf: Vec<NodeId> = Vec::new();
         for (k, &s) in sources.iter().enumerate() {
-            let cone = cones[s.index()].get_or_insert_with(|| {
-                circuit.fanout_cone_into(s, marks, &mut cone_buf);
-                cone_buf.as_slice().into()
-            });
+            let cone = cached_cone(circuit, &cones[s.index()], s, marks, &mut cone_buf);
             for v in [false, true] {
                 assignment[k] = Some(v);
                 for &id in cone.iter() {
@@ -443,13 +458,161 @@ impl Learned {
     }
 }
 
-/// Reusable PODEM search engine.
+/// The per-circuit half of PODEM: everything a search *reads*, built once
+/// and borrowed by every search on every thread.
 ///
-/// All per-circuit state — source ordering, the 5-valued value array, the
-/// X-path scratch and lazily cached fanout cones — lives in the engine and
-/// is shared across faults, so a generation loop that targets thousands of
-/// faults allocates once instead of per call. More importantly, the three
-/// inner loops of the search are **cone-bounded**:
+/// Holds the source ordering, the [SCOAP-style](Testability) costs, the
+/// [static-learning](Learned) tables, the observation-point drivers and
+/// the cone caches. The learning pass dominates construction and also
+/// pre-warms every source's forward cone; fault-site cones are added on
+/// first use. Cone cells are write-once ([`OnceLock`]) and a cone is a
+/// pure function of the circuit, so concurrent searches share them
+/// without changing any answer.
+pub(crate) struct PodemModel<'c> {
+    circuit: &'c Circuit,
+    sources: Vec<NodeId>,
+    source_pos: Vec<usize>,
+    testability: Testability,
+    learned: Learned,
+    /// Observation-point drivers, for the dynamic D-frontier filter.
+    op_driver: Vec<bool>,
+    /// Combinational fanout cones (forward implication + D-frontier).
+    cones: Vec<OnceLock<Box<[NodeId]>>>,
+    /// Through-anything fanin closures for the X-path check.
+    xcones: Vec<OnceLock<Box<[NodeId]>>>,
+}
+
+/// The per-search half of PODEM: the mutable state of one search. A
+/// search starts by resetting it, so a scratch carries no answer from one
+/// fault to the next and any scratch serves any fault.
+pub(crate) struct PodemScratch {
+    values: Vec<V5>,
+    assignment: Vec<Option<bool>>,
+    ins: Vec<V5>,
+    reach: Vec<bool>,
+    /// Scratch for the reverse can-reach-an-OP-through-X sweep; false
+    /// outside an `objective` call.
+    xreach: Vec<bool>,
+    /// Mark scratch for the lazy cone builds.
+    cone_marks: ConeMarks,
+    /// Cone buffer for the lazy cone builds.
+    cone_buf: Vec<NodeId>,
+    backtracks_left: u32,
+}
+
+impl<'c> PodemModel<'c> {
+    /// Builds the model for `circuit` (testability and static learning).
+    pub(crate) fn new(circuit: &'c Circuit) -> Self {
+        let sources = TestSet::source_order(circuit);
+        let mut source_pos = vec![usize::MAX; circuit.len()];
+        for (k, &s) in sources.iter().enumerate() {
+            source_pos[s.index()] = k;
+        }
+        let cones: Vec<OnceLock<Box<[NodeId]>>> =
+            (0..circuit.len()).map(|_| OnceLock::new()).collect();
+        // the learning pass also pre-warms every source's forward cone,
+        // which the search's incremental implication reuses
+        let learned = Learned::build(
+            circuit,
+            &sources,
+            &source_pos,
+            &cones,
+            &mut ConeMarks::new(),
+        );
+        let mut op_driver = vec![false; circuit.len()];
+        for op in circuit.observe_points() {
+            op_driver[op.driver.index()] = true;
+        }
+        PodemModel {
+            circuit,
+            sources,
+            source_pos,
+            testability: Testability::build(circuit),
+            learned,
+            op_driver,
+            cones,
+            xcones: (0..circuit.len()).map(|_| OnceLock::new()).collect(),
+        }
+    }
+
+    /// Fresh search scratch sized for this circuit.
+    pub(crate) fn scratch(&self) -> PodemScratch {
+        PodemScratch {
+            values: vec![V5::X; self.circuit.len()],
+            assignment: vec![None; self.sources.len()],
+            ins: Vec::new(),
+            reach: vec![false; self.circuit.len()],
+            xreach: vec![false; self.circuit.len()],
+            cone_marks: ConeMarks::new(),
+            cone_buf: Vec::new(),
+            backtracks_left: 0,
+        }
+    }
+
+    /// [`podem_with_metrics`] on `scratch`.
+    pub(crate) fn podem(
+        &self,
+        scratch: &mut PodemScratch,
+        fault: &StuckAtFault,
+        max_backtracks: u32,
+        metrics: Option<&fastmon_obs::AtpgMetrics>,
+    ) -> PodemOutcome {
+        self.run(scratch, Goal::Detect(*fault, None), max_backtracks, metrics)
+    }
+
+    /// [`justify_with_metrics`] on `scratch`.
+    pub(crate) fn justify(
+        &self,
+        scratch: &mut PodemScratch,
+        node: NodeId,
+        value: bool,
+        max_backtracks: u32,
+        metrics: Option<&fastmon_obs::AtpgMetrics>,
+    ) -> PodemOutcome {
+        self.run(scratch, Goal::Justify(node, value), max_backtracks, metrics)
+    }
+
+    fn run(
+        &self,
+        scratch: &mut PodemScratch,
+        goal: Goal,
+        max_backtracks: u32,
+        metrics: Option<&fastmon_obs::AtpgMetrics>,
+    ) -> PodemOutcome {
+        Search {
+            model: self,
+            st: scratch,
+        }
+        .run(goal, max_backtracks, metrics)
+    }
+
+    /// The cached fanout cone of `node`, built on first use.
+    fn cone(&self, node: NodeId, st: &mut PodemScratch) -> &[NodeId] {
+        let cell = &self.cones[node.index()];
+        cached_cone(
+            self.circuit,
+            cell,
+            node,
+            &mut st.cone_marks,
+            &mut st.cone_buf,
+        )
+    }
+
+    /// The cached X-path fanin closure of `node`, built on first use.
+    fn xcone(&self, node: NodeId, st: &mut PodemScratch) -> &[NodeId] {
+        self.xcones[node.index()]
+            .get_or_init(|| x_path_cone(self.circuit, node, &mut st.cone_marks))
+    }
+}
+
+/// Reusable PODEM search engine: the per-circuit model plus one search
+/// scratch.
+///
+/// All per-circuit state — source ordering, testability, learned
+/// implications and lazily cached fanout cones — is built once and shared
+/// across faults, so a generation loop that targets thousands of faults
+/// allocates once instead of per call. More importantly, the three inner
+/// loops of the search are **cone-bounded**:
 ///
 /// * forward implication after a decision re-simulates only the fanout
 ///   cone of the source that changed (values outside it cannot move);
@@ -470,31 +633,13 @@ impl Learned {
 /// circuits produce identical cubes on every run and thread count — but
 /// the cubes differ from the unguided first-X-input engine, trading
 /// bit-compatibility for an order-of-magnitude backtrack reduction.
+///
+/// Each answer is a pure function of the circuit, the goal and the
+/// backtrack limit: [`generate`](crate::generate) shares one model
+/// between worker threads and gives each worker its own scratch.
 pub struct PodemEngine<'c> {
-    circuit: &'c Circuit,
-    sources: Vec<NodeId>,
-    source_pos: Vec<usize>,
-    values: Vec<V5>,
-    assignment: Vec<Option<bool>>,
-    ins: Vec<V5>,
-    reach: Vec<bool>,
-    /// Combinational fanout cones (forward implication + D-frontier),
-    /// lazily built per node and reused across runs.
-    cones: Vec<Option<Box<[NodeId]>>>,
-    /// Through-anything fanin closures for the X-path check.
-    xcones: Vec<Option<Box<[NodeId]>>>,
-    testability: Testability,
-    learned: Learned,
-    /// Observation-point drivers, for the dynamic D-frontier filter.
-    op_driver: Vec<bool>,
-    /// Scratch for the reverse can-reach-an-OP-through-X sweep; false
-    /// outside an `objective` call.
-    xreach: Vec<bool>,
-    /// Shared mark scratch for the lazy cone builds.
-    cone_marks: ConeMarks,
-    /// Shared cone buffer for the lazy cone builds.
-    cone_buf: Vec<NodeId>,
-    backtracks_left: u32,
+    model: PodemModel<'c>,
+    scratch: PodemScratch,
 }
 
 impl<'c> PodemEngine<'c> {
@@ -503,44 +648,14 @@ impl<'c> PodemEngine<'c> {
     /// like.
     #[must_use]
     pub fn new(circuit: &'c Circuit) -> Self {
-        let sources = TestSet::source_order(circuit);
-        let mut source_pos = vec![usize::MAX; circuit.len()];
-        for (k, &s) in sources.iter().enumerate() {
-            source_pos[s.index()] = k;
-        }
-        let n = sources.len();
-        let mut cones: Vec<Option<Box<[NodeId]>>> = vec![None; circuit.len()];
-        let mut cone_marks = ConeMarks::new();
-        // the learning pass also pre-warms every source's forward cone,
-        // which the search's incremental implication reuses
-        let learned = Learned::build(circuit, &sources, &source_pos, &mut cones, &mut cone_marks);
-        let mut op_driver = vec![false; circuit.len()];
-        for op in circuit.observe_points() {
-            op_driver[op.driver.index()] = true;
-        }
-        PodemEngine {
-            circuit,
-            sources,
-            source_pos,
-            values: vec![V5::X; circuit.len()],
-            assignment: vec![None; n],
-            ins: Vec::new(),
-            reach: vec![false; circuit.len()],
-            cones,
-            xcones: vec![None; circuit.len()],
-            testability: Testability::build(circuit),
-            learned,
-            op_driver,
-            xreach: vec![false; circuit.len()],
-            cone_marks,
-            cone_buf: Vec::new(),
-            backtracks_left: 0,
-        }
+        let model = PodemModel::new(circuit);
+        let scratch = model.scratch();
+        PodemEngine { model, scratch }
     }
 
     /// [`podem`] on this engine's circuit, reusing cached cones/buffers.
     pub fn podem(&mut self, fault: &StuckAtFault, max_backtracks: u32) -> PodemOutcome {
-        self.run(Goal::Detect(*fault, None), max_backtracks, None)
+        self.podem_with_metrics(fault, max_backtracks, None)
     }
 
     /// [`podem_with_metrics`] on this engine.
@@ -550,7 +665,8 @@ impl<'c> PodemEngine<'c> {
         max_backtracks: u32,
         metrics: Option<&fastmon_obs::AtpgMetrics>,
     ) -> PodemOutcome {
-        self.run(Goal::Detect(*fault, None), max_backtracks, metrics)
+        self.model
+            .podem(&mut self.scratch, fault, max_backtracks, metrics)
     }
 
     /// [`podem_with_side_objective`] on this engine.
@@ -561,7 +677,8 @@ impl<'c> PodemEngine<'c> {
         side_value: bool,
         max_backtracks: u32,
     ) -> PodemOutcome {
-        self.run(
+        self.model.run(
+            &mut self.scratch,
             Goal::Detect(*fault, Some((side_node, side_value))),
             max_backtracks,
             None,
@@ -570,7 +687,7 @@ impl<'c> PodemEngine<'c> {
 
     /// [`justify`] on this engine.
     pub fn justify(&mut self, node: NodeId, value: bool, max_backtracks: u32) -> PodemOutcome {
-        self.run(Goal::Justify(node, value), max_backtracks, None)
+        self.justify_with_metrics(node, value, max_backtracks, None)
     }
 
     /// [`justify_with_metrics`] on this engine.
@@ -581,19 +698,30 @@ impl<'c> PodemEngine<'c> {
         max_backtracks: u32,
         metrics: Option<&fastmon_obs::AtpgMetrics>,
     ) -> PodemOutcome {
-        self.run(Goal::Justify(node, value), max_backtracks, metrics)
+        self.model
+            .justify(&mut self.scratch, node, value, max_backtracks, metrics)
     }
+}
 
+/// One search in progress: the shared model plus this search's scratch.
+struct Search<'a, 'c> {
+    model: &'a PodemModel<'c>,
+    st: &'a mut PodemScratch,
+}
+
+impl Search<'_, '_> {
     fn run(
         &mut self,
         goal: Goal,
         max_backtracks: u32,
         metrics: Option<&fastmon_obs::AtpgMetrics>,
     ) -> PodemOutcome {
-        self.assignment.fill(None);
-        self.backtracks_left = max_backtracks;
+        self.st.assignment.fill(None);
+        self.st.backtracks_left = max_backtracks;
         if let Some(f) = goal.fault() {
-            self.ensure_cones(f.node);
+            // cache both cone flavours of the fault site up front
+            self.model.cone(f.node, self.st);
+            self.model.xcone(f.node, self.st);
         }
         let (contradiction, necessities) = self.apply_learned(goal);
         let outcome = if contradiction {
@@ -601,7 +729,7 @@ impl<'c> PodemEngine<'c> {
         } else {
             self.forward_full(goal);
             match self.search(goal) {
-                Tri::Success => PodemOutcome::Test(self.assignment.clone()),
+                Tri::Success => PodemOutcome::Test(self.st.assignment.clone()),
                 Tri::Fail => PodemOutcome::Untestable,
                 Tri::Abort => PodemOutcome::Aborted,
             }
@@ -609,7 +737,7 @@ impl<'c> PodemEngine<'c> {
         if let Some(m) = metrics {
             m.podem_calls.incr();
             m.podem_backtracks
-                .add(u64::from(max_backtracks - self.backtracks_left));
+                .add(u64::from(max_backtracks - self.st.backtracks_left));
             m.podem_necessity_assignments.add(necessities);
             if contradiction {
                 m.podem_learned_untestable.incr();
@@ -629,27 +757,28 @@ impl<'c> PodemEngine<'c> {
     /// are *necessary*, so exhausting the remaining space still proves
     /// untestability.
     fn apply_learned(&mut self, goal: Goal) -> (bool, u64) {
+        let learned = &self.model.learned;
         let mut necessities = 0u64;
         for (node, value) in goal.requirements().into_iter().flatten() {
             let i = node.index();
-            if let Some(c) = self.learned.constant[i] {
+            if let Some(c) = learned.constant[i] {
                 if c != value {
                     return (true, necessities);
                 }
                 continue;
             }
-            for &(k, source_value, implied) in &self.learned.implications[i] {
+            for &(k, source_value, implied) in &learned.implications[i] {
                 if implied == value {
                     continue;
                 }
                 // `source = source_value` forces the wrong value here, so
                 // the opposite source value is necessary
                 let need = !source_value;
-                match self.assignment[k as usize] {
+                match self.st.assignment[k as usize] {
                     Some(prev) if prev != need => return (true, necessities),
                     Some(_) => {}
                     None => {
-                        self.assignment[k as usize] = Some(need);
+                        self.st.assignment[k as usize] = Some(need);
                         necessities += 1;
                     }
                 }
@@ -658,44 +787,22 @@ impl<'c> PodemEngine<'c> {
         (false, necessities)
     }
 
-    /// Caches both cone flavours for a fault site.
-    fn ensure_cones(&mut self, node: NodeId) {
-        let idx = node.index();
-        if self.cones[idx].is_none() {
-            self.circuit
-                .fanout_cone_into(node, &mut self.cone_marks, &mut self.cone_buf);
-            self.cones[idx] = Some(self.cone_buf.as_slice().into());
-        }
-        if self.xcones[idx].is_none() {
-            self.xcones[idx] = Some(x_path_cone(self.circuit, node, &mut self.cone_marks));
-        }
-    }
-
-    /// Caches the forward-implication cone of a source.
-    fn ensure_source_cone(&mut self, node: NodeId) {
-        let idx = node.index();
-        if self.cones[idx].is_none() {
-            self.circuit
-                .fanout_cone_into(node, &mut self.cone_marks, &mut self.cone_buf);
-            self.cones[idx] = Some(self.cone_buf.as_slice().into());
-        }
-    }
-
     /// Full forward 5-valued implication — every node, used once per run
     /// to (re)initialise `values` from the empty assignment.
     fn forward_full(&mut self, goal: Goal) {
+        let model = self.model;
+        let st = &mut *self.st;
         let fault = goal.fault();
-        for &id in self.circuit.topo_order() {
-            let v = eval_node(
-                self.circuit,
+        for &id in model.circuit.topo_order() {
+            st.values[id.index()] = eval_node(
+                model.circuit,
                 id,
-                &self.values,
-                &mut self.ins,
-                &self.assignment,
-                &self.source_pos,
+                &st.values,
+                &mut st.ins,
+                &st.assignment,
+                &model.source_pos,
                 fault,
             );
-            self.values[id.index()] = v;
         }
     }
 
@@ -704,37 +811,36 @@ impl<'c> PodemEngine<'c> {
     /// topologically ordered, so one bounded sweep reaches the same fixed
     /// point as a whole-circuit pass.
     fn forward_cone(&mut self, seed: NodeId, goal: Goal) {
+        let model = self.model;
+        let st = &mut *self.st;
         let fault = goal.fault();
-        let Some(cone) = self.cones[seed.index()].as_deref() else {
-            // unreachable: callers cache the cone first; fall back safely
-            return self.forward_full(goal);
-        };
-        for &id in cone {
-            let v = eval_node(
-                self.circuit,
+        for &id in model.cone(seed, st) {
+            st.values[id.index()] = eval_node(
+                model.circuit,
                 id,
-                &self.values,
-                &mut self.ins,
-                &self.assignment,
-                &self.source_pos,
+                &st.values,
+                &mut st.ins,
+                &st.assignment,
+                &model.source_pos,
                 fault,
             );
-            self.values[id.index()] = v;
         }
     }
 
     fn success(&self, goal: Goal) -> bool {
+        let values = &self.st.values;
         match goal {
-            Goal::Justify(node, value) => self.values[node.index()] == V5::from_bool(value),
+            Goal::Justify(node, value) => values[node.index()] == V5::from_bool(value),
             Goal::Detect(_, side) => {
-                let side_ok = side
-                    .is_none_or(|(node, value)| self.values[node.index()].good() == Some(value));
+                let side_ok =
+                    side.is_none_or(|(node, value)| values[node.index()].good() == Some(value));
                 side_ok
                     && self
+                        .model
                         .circuit
                         .observe_points()
                         .iter()
-                        .any(|op| self.values[op.driver.index()].is_fault_effect())
+                        .any(|op| values[op.driver.index()].is_fault_effect())
             }
         }
     }
@@ -744,18 +850,18 @@ impl<'c> PodemEngine<'c> {
     fn hopeless(&mut self, goal: Goal) -> bool {
         match goal {
             Goal::Justify(node, value) => {
-                let v = self.values[node.index()];
+                let v = self.st.values[node.index()];
                 v.is_binary() && v != V5::from_bool(value)
             }
             Goal::Detect(fault, side) => {
                 if let Some((node, value)) = side {
                     // launch value fixed to the wrong polarity: dead branch
-                    let v = self.values[node.index()];
+                    let v = self.st.values[node.index()];
                     if v.good().is_some_and(|g| g != value) {
                         return true;
                     }
                 }
-                let at_site = self.values[fault.node.index()];
+                let at_site = self.st.values[fault.node.index()];
                 if at_site.is_binary() {
                     return true; // good == stuck: can never activate
                 }
@@ -774,46 +880,50 @@ impl<'c> PodemEngine<'c> {
     /// instead of the whole circuit — nodes outside it can never be marked
     /// — using (and then clearing) the persistent `reach` scratch.
     fn x_path_exists(&mut self, fault: StuckAtFault) -> bool {
-        let cone = self.xcones[fault.node.index()].as_deref().unwrap_or(&[]);
+        let model = self.model;
+        let cone = model.xcone(fault.node, self.st);
+        let st = &mut *self.st;
         for &id in cone {
-            let v = self.values[id.index()];
+            let v = st.values[id.index()];
             let mark = if v.is_fault_effect() {
                 true
             } else if v == V5::X {
-                self.circuit
+                model
+                    .circuit
                     .node(id)
                     .fanins()
                     .iter()
-                    .any(|&fi| self.reach[fi.index()])
+                    .any(|&fi| st.reach[fi.index()])
             } else {
                 false
             };
-            self.reach[id.index()] = mark;
+            st.reach[id.index()] = mark;
         }
-        let hit = self
+        let hit = model
             .circuit
             .observe_points()
             .iter()
-            .any(|op| self.reach[op.driver.index()]);
+            .any(|op| st.reach[op.driver.index()]);
         for &id in cone {
-            self.reach[id.index()] = false;
+            st.reach[id.index()] = false;
         }
         hit
     }
 
     /// The next objective `(node, value)` to pursue, or `None` when stuck.
     fn objective(&mut self, goal: Goal) -> Option<(NodeId, bool)> {
+        let model = self.model;
         match goal {
             Goal::Justify(node, value) => {
-                (self.values[node.index()] == V5::X).then_some((node, value))
+                (self.st.values[node.index()] == V5::X).then_some((node, value))
             }
             Goal::Detect(fault, side) => {
                 if let Some((node, value)) = side {
-                    if self.values[node.index()] == V5::X {
+                    if self.st.values[node.index()] == V5::X {
                         return Some((node, value));
                     }
                 }
-                let at_site = self.values[fault.node.index()];
+                let at_site = self.st.values[fault.node.index()];
                 if at_site == V5::X {
                     return Some((fault.node, !fault.stuck_at));
                 }
@@ -831,40 +941,41 @@ impl<'c> PodemEngine<'c> {
                 // (minimum SCOAP CO, ties broken toward the first in
                 // topological order) — the fault effect takes the cheapest
                 // path out.
-                let cone = self.cones[fault.node.index()].as_deref().unwrap_or(&[]);
+                let cone = model.cone(fault.node, self.st);
+                let st = &mut *self.st;
                 for &id in cone.iter().rev() {
                     let i = id.index();
                     // before: `xreach[i]` = some already-processed fanout
                     // reaches an OP through X; after: this node does
-                    let ok = self.values[i] == V5::X && (self.op_driver[i] || self.xreach[i]);
-                    self.xreach[i] = ok;
+                    let ok = st.values[i] == V5::X && (model.op_driver[i] || st.xreach[i]);
+                    st.xreach[i] = ok;
                     if ok {
-                        for &fi in self.circuit.node(id).fanins() {
-                            self.xreach[fi.index()] = true;
+                        for &fi in model.circuit.node(id).fanins() {
+                            st.xreach[fi.index()] = true;
                         }
                     }
                 }
                 let mut best: Option<(u32, NodeId)> = None;
                 for &id in cone {
-                    if self.values[id.index()] != V5::X || !self.xreach[id.index()] {
+                    if st.values[id.index()] != V5::X || !st.xreach[id.index()] {
                         continue;
                     }
-                    let node = self.circuit.node(id);
+                    let node = model.circuit.node(id);
                     if !node.kind().is_combinational() {
                         continue;
                     }
                     let has_effect = node
                         .fanins()
                         .iter()
-                        .any(|&fi| self.values[fi.index()].is_fault_effect());
+                        .any(|&fi| st.values[fi.index()].is_fault_effect());
                     let has_x = node
                         .fanins()
                         .iter()
-                        .any(|&fi| self.values[fi.index()] == V5::X);
+                        .any(|&fi| st.values[fi.index()] == V5::X);
                     if !has_effect || !has_x {
                         continue;
                     }
-                    let cost = self.testability.co[id.index()];
+                    let cost = model.testability.co[id.index()];
                     if best.is_none_or(|(c, _)| cost < c) {
                         best = Some((cost, id));
                     }
@@ -872,28 +983,29 @@ impl<'c> PodemEngine<'c> {
                 // the sweep marks side fanins outside the cone too: clear
                 // everything it could have touched before returning
                 for &id in cone {
-                    self.xreach[id.index()] = false;
-                    for &fi in self.circuit.node(id).fanins() {
-                        self.xreach[fi.index()] = false;
+                    st.xreach[id.index()] = false;
+                    for &fi in model.circuit.node(id).fanins() {
+                        st.xreach[fi.index()] = false;
                     }
                 }
                 let (_, id) = best?;
-                let node = self.circuit.node(id);
+                let node = model.circuit.node(id);
                 // Side inputs: to pass the effect, *every* X side input
                 // must eventually go non-controlling, so surface conflicts
                 // early by driving the hardest one first. XOR-class gates
                 // propagate through any binary value — still take the
                 // hardest input, but aim for its cheaper value.
+                let testability = &model.testability;
                 let mut pick: Option<(u32, NodeId, bool)> = None;
                 for &fi in node.fanins() {
                     let f = fi.index();
-                    if self.values[f] != V5::X {
+                    if st.values[f] != V5::X {
                         continue;
                     }
                     let (cost, v) = match node.kind().controlling_value() {
-                        Some(c) => (self.testability.cc(f, !c), !c),
+                        Some(c) => (testability.cc(f, !c), !c),
                         None => {
-                            let (c0, c1) = (self.testability.cc0[f], self.testability.cc1[f]);
+                            let (c0, c1) = (testability.cc0[f], testability.cc1[f]);
                             (c0.min(c1), c1 < c0)
                         }
                     };
@@ -913,12 +1025,15 @@ impl<'c> PodemEngine<'c> {
     /// infeasible branches die at the top of the decision stack instead of
     /// after a pile of cheap assignments.
     fn backtrace(&self, mut node: NodeId, mut value: bool) -> (usize, bool) {
+        let model = self.model;
+        let testability = &model.testability;
+        let values = &self.st.values;
         loop {
-            let pos = self.source_pos[node.index()];
+            let pos = model.source_pos[node.index()];
             if pos != usize::MAX {
                 return (pos, value);
             }
-            let n = self.circuit.node(node);
+            let n = model.circuit.node(node);
             let kind = n.kind();
             let pre = value ^ kind.is_inverting();
             // choose an X-valued input and the value to aim for there
@@ -936,10 +1051,10 @@ impl<'c> PodemEngine<'c> {
                     let mut pick: Option<(u32, NodeId)> = None;
                     for &fi in n.fanins() {
                         let f = fi.index();
-                        if self.values[f] != V5::X {
+                        if values[f] != V5::X {
                             continue;
                         }
-                        let cost = self.testability.cc(f, needed);
+                        let cost = testability.cc(f, needed);
                         let better =
                             pick.is_none_or(
                                 |(c, _)| {
@@ -964,10 +1079,10 @@ impl<'c> PodemEngine<'c> {
                     let mut pick: Option<(u32, NodeId)> = None;
                     for &fi in n.fanins() {
                         let f = fi.index();
-                        if self.values[f] != V5::X {
+                        if values[f] != V5::X {
                             continue;
                         }
-                        let cost = self.testability.cc0[f].min(self.testability.cc1[f]);
+                        let cost = testability.cc0[f].min(testability.cc1[f]);
                         if pick.is_none_or(|(c, _)| cost < c) {
                             pick = Some((cost, fi));
                         }
@@ -979,7 +1094,7 @@ impl<'c> PodemEngine<'c> {
                         .fanins()
                         .iter()
                         .filter(|&&fi| fi != x_input)
-                        .map(|&fi| self.values[fi.index()].good().unwrap_or(false))
+                        .map(|&fi| values[fi.index()].good().unwrap_or(false))
                         .fold(false, |a, b| a ^ b);
                     (x_input, pre ^ parity)
                 }
@@ -1003,23 +1118,22 @@ impl<'c> PodemEngine<'c> {
             return Tri::Fail;
         };
         let (src, first) = self.backtrace(obj_node, obj_value);
-        let src_node = self.sources[src];
-        self.ensure_source_cone(src_node);
+        let src_node = self.model.sources[src];
         for value in [first, !first] {
-            self.assignment[src] = Some(value);
+            self.st.assignment[src] = Some(value);
             self.forward_cone(src_node, goal);
             match self.search(goal) {
                 Tri::Success => return Tri::Success,
                 Tri::Abort => return Tri::Abort,
                 Tri::Fail => {
-                    if self.backtracks_left == 0 {
+                    if self.st.backtracks_left == 0 {
                         return Tri::Abort;
                     }
-                    self.backtracks_left -= 1;
+                    self.st.backtracks_left -= 1;
                 }
             }
         }
-        self.assignment[src] = None;
+        self.st.assignment[src] = None;
         self.forward_cone(src_node, goal);
         Tri::Fail
     }

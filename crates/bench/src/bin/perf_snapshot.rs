@@ -26,7 +26,8 @@
 //! | `FASTMON_SNAPSHOT_SWEEP` | comma-separated scale-sweep factors | `S/4, S/2, S` |
 //! | `FASTMON_RSS_CEILING_BYTES` | fail the run if peak RSS exceeds this | unset |
 //!
-//! The sweep runs ascending (the Linux `VmHWM` probe is a process-wide
+//! The sweep runs on one thread (recorded as `"threads"` in each entry)
+//! and ascending (the Linux `VmHWM` probe is a process-wide
 //! high-water mark, so each entry's `peak_rss_bytes` is dominated by the
 //! largest circuit simulated so far — ascending order keeps the numbers
 //! attributable). The shard run re-analyzes the full campaign split into
@@ -41,6 +42,10 @@ use fastmon_core::{FlowConfig, HdfTestFlow};
 use fastmon_netlist::generate::CircuitProfile;
 use fastmon_sim::stats::CampaignStats;
 
+/// Worker threads of every scale-sweep point: one, so the sweep charts
+/// size, not parallelism.
+const SWEEP_THREADS: usize = 1;
+
 struct ThreadRun {
     threads: usize,
     analyze_secs: f64,
@@ -48,10 +53,11 @@ struct ThreadRun {
 }
 
 /// One scale-sweep point: the same profile regenerated at a different
-/// scale and analyzed once (1 thread), with the collapse ratio and the
-/// RSS high-water mark after the run.
+/// scale and analyzed once on [`SWEEP_THREADS`], with the collapse ratio
+/// and the RSS high-water mark after the run.
 struct SweepEntry {
     scale: f64,
+    threads: usize,
     gates: usize,
     patterns: usize,
     netlist_bytes: usize,
@@ -269,7 +275,8 @@ fn main() {
     // `VmHWM` probe is a process-wide high-water mark, so each entry's
     // `peak_rss_bytes` is attributable only while no larger circuit has
     // run yet. Each factor regenerates the profile and analyzes once
-    // (1 thread) to chart memory and collapse behaviour against size.
+    // (on SWEEP_THREADS, whatever the snapshot's thread list) to chart
+    // memory and collapse behaviour against size.
     let mut sweep_scales: Vec<f64> = std::env::var("FASTMON_SNAPSHOT_SWEEP")
         .ok()
         .map(|v| {
@@ -292,7 +299,11 @@ fn main() {
                 continue;
             }
         };
-        let flow = HdfTestFlow::prepare(&swept_circuit, &config.flow_config());
+        let sweep_config = FlowConfig {
+            threads: SWEEP_THREADS,
+            ..config.flow_config()
+        };
+        let flow = HdfTestFlow::prepare(&swept_circuit, &sweep_config);
         let swept_patterns = flow.generate_patterns(Some(swept.pattern_budget));
         let t = Instant::now();
         let analysis = flow.analyze(&swept_patterns);
@@ -300,6 +311,7 @@ fn main() {
         let snap = CampaignStats::from_metrics(&flow.metrics().sim);
         let entry = SweepEntry {
             scale: s,
+            threads: SWEEP_THREADS,
             gates: swept.gates,
             patterns: swept_patterns.len(),
             netlist_bytes: swept_circuit.storage_bytes(),
@@ -670,6 +682,14 @@ impl AtpgReport {
             get("matrix_builds"),
             get("matrix_rebuilds_avoided"),
         );
+        let _ = writeln!(
+            s,
+            "  PODEM: {} calls, {} backtracks, {} aborts; {} speculative searches discarded",
+            get("podem_calls"),
+            get("podem_backtracks"),
+            get("podem_aborts"),
+            get("podem_speculative_discarded"),
+        );
         s
     }
 }
@@ -849,6 +869,7 @@ fn render_json(
         let sep = if i + 1 < extras.sweep.len() { "," } else { "" };
         let _ = writeln!(s, "    {{");
         let _ = writeln!(s, "      \"scale\": {},", e.scale);
+        let _ = writeln!(s, "      \"threads\": {},", e.threads);
         let _ = writeln!(s, "      \"gates\": {},", e.gates);
         let _ = writeln!(s, "      \"patterns\": {},", e.patterns);
         let _ = writeln!(s, "      \"netlist_bytes\": {},", e.netlist_bytes);

@@ -29,6 +29,29 @@ fn flow_config() -> FlowConfig {
     }
 }
 
+/// A circuit whose PODEM phase (no random patterns) targets a few hundred
+/// faults — several 64-fault windows at 2 threads.
+fn podem_circuit() -> fastmon_netlist::Circuit {
+    fastmon_netlist::generate::GeneratorConfig::new("failpoint-podem")
+        .gates(300)
+        .flip_flops(16)
+        .inputs(12)
+        .outputs(8)
+        .depth(10)
+        .generate(5)
+        .expect("valid generator config")
+}
+
+/// ATPG straight into the PODEM phase: with no random patterns the
+/// worklist is every transition fault.
+fn podem_only(threads: usize) -> AtpgConfig {
+    AtpgConfig {
+        random_patterns: 0,
+        threads,
+        ..AtpgConfig::default()
+    }
+}
+
 fn assert_same_analysis(got: &DetectionAnalysis, baseline: &DetectionAnalysis, scenario: &str) {
     assert_eq!(got.per_pattern, baseline.per_pattern, "{scenario}");
     assert_eq!(got.raw_union, baseline.raw_union, "{scenario}");
@@ -245,22 +268,60 @@ fn chaos_under_failpoints_recovers_or_types_every_error() {
         assert_eq!(regen, patterns, "pattern generation is deterministic");
     }
 
-    // -- atpg_podem=err@1: the deterministic PODEM loop is injected
-    //    directly (random_patterns: 0 keeps its worklist non-empty).
+    // -- atpg_podem=err@N: the PODEM phase commits its targets in worklist
+    //    order on the calling thread, so the N-th committed target fails
+    //    at any thread count — after exactly N - 1 committed targets (two
+    //    PODEM calls each), whatever the workers searched ahead. N = 70
+    //    lies past the first 64-fault window of the 2-thread run.
     {
-        failpoints::configure("atpg_podem=err@1").unwrap();
-        let podem_only = AtpgConfig {
-            random_patterns: 0,
-            threads: 2,
-            ..AtpgConfig::default()
-        };
-        let err = fastmon_atpg::try_generate_with_metrics(&circuit, &podem_only, None, None)
-            .expect_err("the PODEM loop is injected on its first fault");
+        let podem_circuit = podem_circuit();
+        for n in [1u64, 70] {
+            let mut backtracks = Vec::new();
+            for threads in [1usize, 2] {
+                failpoints::configure(&format!("atpg_podem=err@{n}")).unwrap();
+                let metrics = fastmon_obs::AtpgMetrics::new();
+                let err = fastmon_atpg::try_generate_with_metrics(
+                    &podem_circuit,
+                    &podem_only(threads),
+                    Some(&metrics),
+                    None,
+                )
+                .expect_err("the PODEM phase is injected");
+                failpoints::clear();
+                assert!(
+                    matches!(err, AtpgError::Injected { site: "atpg_podem" }),
+                    "threads={threads}: got {err:?}"
+                );
+                assert_eq!(
+                    metrics.podem_calls.get(),
+                    2 * (n - 1),
+                    "threads={threads}: err@{n} fired on another committed target"
+                );
+                backtracks.push(metrics.podem_backtracks.get());
+            }
+            assert_eq!(
+                backtracks[0], backtracks[1],
+                "err@{n}: committed searches differ"
+            );
+        }
+    }
+
+    // -- a panicking PODEM worker: without random patterns the first items
+    //    through the pool are PODEM searches, so parallel_worker=panic@3
+    //    panics inside one; it is contained as a typed phase error.
+    {
+        failpoints::configure("parallel_worker=panic@3").unwrap();
+        let err =
+            fastmon_atpg::try_generate_with_metrics(&podem_circuit(), &podem_only(2), None, None)
+                .expect_err("the injected PODEM worker panic is contained");
         failpoints::clear();
-        assert!(
-            matches!(err, AtpgError::Injected { site: "atpg_podem" }),
-            "got {err:?}"
-        );
+        match &err {
+            AtpgError::WorkerPanicked { phase, message } => {
+                assert_eq!(*phase, "atpg_podem");
+                assert!(message.contains("parallel_worker"), "got {message:?}");
+            }
+            other => panic!("expected WorkerPanicked, got {other:?}"),
+        }
     }
 
     // -- ilp_node=err@1: the branch-and-bound scheduler is anytime; an
@@ -304,22 +365,58 @@ fn chaos_under_failpoints_recovers_or_types_every_error() {
         assert_eq!(resumed_flow.metrics().checkpoint.resumes.get(), 1);
     }
 
-    // -- cooperative cancellation during ATPG: the PODEM worklist checks
-    //    the token between faults and returns the typed phase error.
+    // -- cooperative cancellation during ATPG: the PODEM phase checks the
+    //    token at every committed target and returns the typed phase
+    //    error — before the first target on a pre-cancelled token, and in
+    //    the middle of the phase on a token cancelled once the first
+    //    window has committed.
     {
         let token = CancelToken::new();
         token.cancel();
-        let podem_only = AtpgConfig {
-            random_patterns: 0,
-            threads: 2,
-            ..AtpgConfig::default()
-        };
         let err =
-            fastmon_atpg::try_generate_with_metrics(&circuit, &podem_only, None, Some(&token))
+            fastmon_atpg::try_generate_with_metrics(&circuit, &podem_only(2), None, Some(&token))
                 .expect_err("a cancelled token stops pattern generation");
         assert!(
             matches!(err, AtpgError::Cancelled { phase: "atpg" }),
             "got {err:?}"
+        );
+
+        let podem_circuit = podem_circuit();
+        let full = fastmon_obs::AtpgMetrics::new();
+        fastmon_atpg::try_generate_with_metrics(&podem_circuit, &podem_only(2), Some(&full), None)
+            .expect("uncancelled reference run");
+        let token = CancelToken::new();
+        let metrics = fastmon_obs::AtpgMetrics::new();
+        let done = std::sync::atomic::AtomicBool::new(false);
+        let result = std::thread::scope(|scope| {
+            scope.spawn(|| {
+                while !done.load(std::sync::atomic::Ordering::Relaxed) {
+                    if metrics.podem_calls.get() > 0 {
+                        token.cancel();
+                        return;
+                    }
+                    std::thread::yield_now();
+                }
+            });
+            let result = fastmon_atpg::try_generate_with_metrics(
+                &podem_circuit,
+                &podem_only(2),
+                Some(&metrics),
+                Some(&token),
+            );
+            done.store(true, std::sync::atomic::Ordering::Relaxed);
+            result
+        });
+        let err = result.expect_err("a mid-phase cancel stops pattern generation");
+        assert!(
+            matches!(err, AtpgError::Cancelled { phase: "atpg" }),
+            "got {err:?}"
+        );
+        let committed = metrics.podem_calls.get();
+        assert!(
+            committed > 0 && committed < full.podem_calls.get(),
+            "cancelled after {committed} of {} PODEM calls: not mid-phase",
+            full.podem_calls.get()
         );
     }
 

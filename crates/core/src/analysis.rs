@@ -1,5 +1,3 @@
-use std::sync::Mutex;
-
 use fastmon_atpg::TestSet;
 use fastmon_faults::{DetectionRange, FaultList, IntervalSet};
 use fastmon_monitor::{
@@ -7,7 +5,7 @@ use fastmon_monitor::{
 };
 use fastmon_netlist::{Circuit, NodeId};
 use fastmon_sim::{
-    try_parallel_map_with, ConeScratch, FaultScreen, ScreenScratch, SimEngine, SpareBank,
+    try_parallel_map_with, ConeScratch, FaultScreen, ScreenScratch, SimEngine, StatePool,
 };
 use fastmon_timing::{ClockSpec, DelayAnnotation, Time};
 
@@ -279,13 +277,12 @@ impl DetectionAnalysis {
             }
         };
 
-        // Campaign-lifetime worker state: scratch buffers live in a pool
-        // that outlasts the per-band thread spawns, and recycled waveform
-        // transition buffers move through a shared bank at work-item
-        // granularity, so `waveform_allocs` tracks the concurrent peak
-        // instead of growing with bands × workers.
-        let worker_pool: Mutex<Vec<BandWorker>> = Mutex::new(Vec::new());
-        let bank = SpareBank::new();
+        // Campaign-lifetime worker state: scratch buffers, recycled
+        // waveform transition buffers included, live in a pool that
+        // outlasts the per-band thread spawns. Each worker recycles its own
+        // buffers, so `waveform_allocs` is bounded by workers × the largest
+        // single cone walk, however many bands and items the campaign has.
+        let worker_pool = StatePool::new();
 
         let mut band_start = progress.next_pattern.min(num_patterns);
         while band_start < num_patterns {
@@ -306,15 +303,14 @@ impl DetectionAnalysis {
             let chunk_results = try_parallel_map_with(
                 band_len * num_chunks,
                 workers,
-                || WorkerLease::take(&worker_pool, circuit),
+                || worker_pool.lease(|| BandWorker::new(circuit)),
                 |lease, item| {
                     // Worker bodies have no error channel; both failpoint
                     // actions surface as a contained panic.
                     if let Err(injected) = fastmon_obs::failpoints::fire("sim_worker") {
                         panic!("{injected}");
                     }
-                    let w = lease.get();
-                    bank.withdraw(&mut w.scratch);
+                    let w = &mut **lease;
                     let base = &bases[item / num_chunks];
                     let chunk = item % num_chunks;
                     let lo = chunk * groups.len() / num_chunks;
@@ -358,7 +354,6 @@ impl DetectionAnalysis {
                             }
                         }
                     }
-                    bank.deposit(&mut w.scratch);
                     found
                 },
             )
@@ -655,47 +650,6 @@ impl BandWorker {
             scratch: ConeScratch::new(circuit),
             screen_scratch: ScreenScratch::new(),
             diffs: Vec::new(),
-        }
-    }
-}
-
-/// Checks a [`BandWorker`] out of the campaign pool and returns it on
-/// drop, so scratch buffers survive the per-band thread spawns instead of
-/// being reallocated `bands × workers` times. A worker that panics forfeits
-/// its state (the lease is leaked with the worker thread), which exactly
-/// matches the previous per-spawn lifetime under panic containment.
-struct WorkerLease<'p> {
-    pool: &'p Mutex<Vec<BandWorker>>,
-    worker: Option<BandWorker>,
-}
-
-impl<'p> WorkerLease<'p> {
-    fn take(pool: &'p Mutex<Vec<BandWorker>>, circuit: &Circuit) -> Self {
-        let worker = pool
-            .lock()
-            .ok()
-            .and_then(|mut p| p.pop())
-            .unwrap_or_else(|| BandWorker::new(circuit));
-        WorkerLease {
-            pool,
-            worker: Some(worker),
-        }
-    }
-
-    fn get(&mut self) -> &mut BandWorker {
-        match self.worker.as_mut() {
-            Some(w) => w,
-            None => unreachable!("lease holds a worker until dropped"),
-        }
-    }
-}
-
-impl Drop for WorkerLease<'_> {
-    fn drop(&mut self) {
-        if let Some(w) = self.worker.take() {
-            if let Ok(mut pool) = self.pool.lock() {
-                pool.push(w);
-            }
         }
     }
 }

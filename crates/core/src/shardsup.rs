@@ -26,7 +26,9 @@
 //! * **Bounded concurrency** — at most `FASTMON_SHARD_JOBS` children run
 //!   at once (default: available parallelism), and the last unfinished
 //!   shard is re-dispatched once if it runs suspiciously long compared
-//!   to the median completed shard.
+//!   to the median completed shard *while still heartbeating*. Silence
+//!   takes precedence: a worker that stopped heartbeating before the
+//!   straggler threshold is only ever handled by the stall watchdog.
 //!
 //! Completed shards land `shard-i-of-n.result` files (same atomic
 //! tmp+rename, FNV-checksummed `FMCK` codec as checkpoints); landing is
@@ -226,7 +228,8 @@ pub struct SupervisorConfig {
     pub backoff_cap: Duration,
     /// Re-dispatch the last unfinished shard once its runtime exceeds
     /// this multiple of the median completed-shard wall time
-    /// (`FASTMON_SHARD_STRAGGLER_FACTOR`).
+    /// (`FASTMON_SHARD_STRAGGLER_FACTOR`) and it is still heartbeating
+    /// past that point; a silent worker is left to the stall watchdog.
     pub straggler_factor: f64,
     /// Main-loop tick (event drain / reap / watchdog cadence).
     pub poll_interval: Duration,
@@ -845,6 +848,11 @@ pub fn run(
         // longer than the median completed shard, and it has not been
         // re-dispatched before. The respawn resumes from the shard's own
         // checkpoint, so the kill never loses more than one band.
+        //
+        // Precedence: a straggler is slow, not silent. The worker must
+        // have heartbeated *after* it crossed the threshold (which implies
+        // it has run past it); one that went quiet before it belongs to
+        // the stall watchdog, whichever of the two limits is shorter.
         if pending.is_empty() && running.len() == 1 && !completed_walls.is_empty() {
             let rs = &mut running[0];
             if !states[rs.shard].redispatched && !rs.stall_killed && !rs.redispatch_killed {
@@ -853,7 +861,7 @@ pub fn run(
                 let median = walls[walls.len() / 2];
                 let threshold = median.mul_f64(config.straggler_factor.max(1.0));
                 let elapsed = rs.started.elapsed();
-                if elapsed > threshold {
+                if rs.last_event.duration_since(rs.started) > threshold {
                     let _ = rs.child.kill();
                     rs.redispatch_killed = true;
                     states[rs.shard].redispatched = true;

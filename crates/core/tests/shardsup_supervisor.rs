@@ -262,6 +262,46 @@ fn last_shard_straggler_is_redispatched_once() {
 }
 
 #[test]
+fn silent_last_shard_is_stalled_not_redispatched() {
+    // The straggler threshold (1× a near-instant median) passes long
+    // before the stall timeout, but a worker that never heartbeats is
+    // silent, not slow: only the stall watchdog may take it.
+    let dir = tmp("silent-straggler");
+    let mut config = fast_config(2, 2);
+    config.straggler_factor = 1.0;
+    config.stall_timeout = Duration::from_millis(300);
+    let launches = RefCell::new([0u32; 2]);
+    let report = shardsup::run(
+        &config,
+        &mut |shard, _attempt| {
+            let n = {
+                let mut l = launches.borrow_mut();
+                l[shard] += 1;
+                l[shard]
+            };
+            if shard == 1 && n == 1 {
+                sh("exec sleep 30")
+            } else {
+                sh(&format!(
+                    "echo '{{}}'; touch {}",
+                    flag(&dir, shard).display()
+                ))
+            }
+        },
+        &mut |shard| flag(&dir, shard).exists(),
+        &mut |_| {},
+        None,
+        None,
+    )
+    .unwrap();
+    assert_eq!(report.stalls_detected, 1, "{report:?}");
+    assert_eq!(report.stragglers_redispatched, 0, "{report:?}");
+    assert_eq!(report.respawns, 1, "a stall kill charges the budget");
+    assert_eq!(report.shards_completed, 2);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn already_landed_shards_are_not_respawned_after_a_supervisor_restart() {
     let report = shardsup::run(
         &fast_config(3, 3),

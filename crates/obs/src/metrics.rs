@@ -142,6 +142,10 @@ metric_section! {
         /// Sources pre-assigned by learned implications before the search
         /// started (necessary assignments).
         podem_necessity_assignments,
+        /// Faults searched ahead of their turn by a parallel PODEM window
+        /// and then dropped, because a pattern flush earlier in the window
+        /// detected them. Their searches are not counted as PODEM calls.
+        podem_speculative_discarded,
         /// Faults proven untestable.
         faults_untestable,
         /// Faults detected (random phase + PODEM).

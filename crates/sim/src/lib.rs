@@ -48,8 +48,10 @@ mod waveform;
 pub mod stats;
 pub mod vcd;
 
-pub use engine::{ConePlan, ConeScratch, FaultyCone, PlanScratch, SimEngine, SimResult, SpareBank};
-pub use parallel::{parallel_map, parallel_map_with, try_parallel_map_with, WorkerPanic};
+pub use engine::{ConePlan, ConeScratch, FaultyCone, PlanScratch, SimEngine, SimResult};
+pub use parallel::{
+    parallel_map, parallel_map_with, try_parallel_map_with, Lease, StatePool, WorkerPanic,
+};
 pub use screen::{has_polarity_transition, FaultScreen, ScreenGroup, ScreenScratch};
 pub use stimulus::Stimulus;
 pub use waveform::{eval_gate, eval_gate_into, EvalScratch, Waveform};

@@ -141,6 +141,106 @@ where
     try_parallel_map_chunked(n, threads, CHUNK_CAP, init, f)
 }
 
+/// Per-worker states that outlive a single pool round.
+///
+/// [`try_parallel_map_with`] calls its `init` once per worker per call, so
+/// a loop that runs many rounds (one per pattern band, one per PODEM
+/// window) would rebuild its scratch every round. Passing
+/// `|| pool.lease(make)` as `init` instead reuses the states of earlier
+/// rounds: a [`Lease`] returns its state to the pool when the worker
+/// finishes, and `make` runs only when the pool is empty — at most once
+/// per concurrent worker over the pool's whole life.
+///
+/// A state whose worker panicked mid-item may come back half-updated;
+/// every caller abandons its pool on the first contained panic.
+///
+/// # Example
+///
+/// ```
+/// use fastmon_sim::{try_parallel_map_with, StatePool};
+///
+/// let pool = StatePool::new();
+/// for round in 0..3 {
+///     let out = try_parallel_map_with(8, 2, || pool.lease(Vec::<usize>::new), |buf, i| {
+///         buf.clear();
+///         buf.extend(0..i);
+///         buf.len() + round
+///     })
+///     .unwrap();
+///     assert_eq!(out[7], 7 + round);
+/// }
+/// ```
+pub struct StatePool<S> {
+    free: Mutex<Vec<S>>,
+}
+
+impl<S> StatePool<S> {
+    /// An empty pool.
+    #[must_use]
+    pub const fn new() -> Self {
+        StatePool {
+            free: Mutex::new(Vec::new()),
+        }
+    }
+
+    /// Checks out a pooled state, or a fresh `make()` when none is free.
+    pub fn lease(&self, make: impl FnOnce() -> S) -> Lease<'_, S> {
+        let pooled = self
+            .free
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .pop();
+        Lease {
+            pool: self,
+            state: Some(pooled.unwrap_or_else(make)),
+        }
+    }
+}
+
+impl<S> Default for StatePool<S> {
+    fn default() -> Self {
+        StatePool::new()
+    }
+}
+
+/// A state checked out of a [`StatePool`]; returned to it on drop.
+pub struct Lease<'p, S> {
+    pool: &'p StatePool<S>,
+    state: Option<S>,
+}
+
+impl<S> std::ops::Deref for Lease<'_, S> {
+    type Target = S;
+
+    fn deref(&self) -> &S {
+        match &self.state {
+            Some(s) => s,
+            None => unreachable!("a lease holds its state until dropped"),
+        }
+    }
+}
+
+impl<S> std::ops::DerefMut for Lease<'_, S> {
+    fn deref_mut(&mut self) -> &mut S {
+        match &mut self.state {
+            Some(s) => s,
+            None => unreachable!("a lease holds its state until dropped"),
+        }
+    }
+}
+
+impl<S> Drop for Lease<'_, S> {
+    fn drop(&mut self) {
+        if let Some(s) = self.state.take() {
+            self.pool
+                .free
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .push(s);
+        }
+    }
+}
+
 /// Chunked driver behind [`try_parallel_map_with`]; `cap` is a parameter
 /// (instead of the `CHUNK_CAP` constant) so tests can exercise the
 /// multi-round path without allocating 2^32 items.
@@ -359,6 +459,34 @@ unsafe impl<T: Send> Send for SendPtr<T> {}
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicUsize;
+
+    #[test]
+    fn state_pool_reuses_states_across_rounds() {
+        let made = AtomicUsize::new(0);
+        let pool = StatePool::new();
+        for _ in 0..20 {
+            let out = try_parallel_map_with(
+                50,
+                3,
+                || {
+                    pool.lease(|| {
+                        made.fetch_add(1, Ordering::SeqCst);
+                        0usize
+                    })
+                },
+                |uses, i| {
+                    **uses += 1;
+                    i
+                },
+            )
+            .unwrap();
+            assert_eq!(out, (0..50).collect::<Vec<_>>());
+        }
+        // at most one state per concurrent worker over the pool's life
+        assert!(made.load(Ordering::SeqCst) <= 3);
+        let leased = pool.lease(|| usize::MAX);
+        assert!(*leased < usize::MAX, "a pooled state is handed out first");
+    }
 
     #[test]
     fn sequential_fallback() {
