@@ -88,6 +88,18 @@ impl TestSet {
         }
     }
 
+    /// Creates an empty test set over an explicit source order (e.g. one
+    /// decoded from a persisted artifact). Whether `sources` belongs to a
+    /// given circuit is the caller's check: compare it with
+    /// [`TestSet::source_order`].
+    #[must_use]
+    pub fn from_sources(sources: Vec<NodeId>) -> Self {
+        TestSet {
+            sources,
+            patterns: Vec::new(),
+        }
+    }
+
     /// The canonical source order used by all `fastmon-atpg` vectors:
     /// primary inputs and flip-flops in node-id order (constants excluded —
     /// they carry no test bit).

@@ -20,22 +20,25 @@
 //!   inherited `FASTMON_*` configuration, so the child's campaign
 //!   fingerprint matches the supervisor's — any divergence makes the
 //!   result file fail validation instead of corrupting the merge.
+//! * The test set is not regenerated: the supervisor lands it once as
+//!   `shard-patterns.fmts` before spawning anyone, and every worker loads
+//!   it. A missing or corrupt artifact is a worker error (`shard_error`,
+//!   exit `1`, a charged respawn); there is no ATPG fallback.
 //! * `SIGTERM` trips a cooperative cancel token that is attached only
-//!   *after* ATPG: an RSS eviction always lands at least one band of
-//!   durable progress, which is what makes evict/readmit livelock-free.
+//!   once the patterns are loaded: an RSS eviction always lands at least
+//!   one band of durable progress, which is what makes evict/readmit
+//!   livelock-free.
 
-use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 
 use fastmon_atpg::TestSet;
-use fastmon_core::shardsup::{self, EXIT_EVICTED};
+use fastmon_core::shardsup::{self, worker_fail};
 use fastmon_core::{
-    CampaignProgress, DetectionAnalysis, FlowError, HdfTestFlow, ShardSpec, ShardsupError,
-    SupervisorConfig, SupervisorEvent, SupervisorReport,
+    DetectionAnalysis, FlowError, HdfTestFlow, ShardSpec, ShardsupError, SupervisorConfig,
+    SupervisorEvent, SupervisorReport,
 };
 use fastmon_netlist::generate::paper_suite;
-use fastmon_obs::events::shard as shard_events;
 
 use crate::ExperimentConfig;
 
@@ -130,37 +133,18 @@ fn env_or(spec: ShardSpec, key: &str) -> String {
     }
 }
 
-/// Emits a `shard_error` heartbeat (so the supervisor's flight recorder
-/// sees the reason, not just a nonzero exit) and dies.
-fn worker_fail(spec: ShardSpec, message: &str) -> ! {
-    println!("{}", shard_events::error(spec.shard, spec.shards, message));
-    let _ = std::io::stdout().flush();
-    eprintln!("[shard-worker {spec}] {message}");
-    std::process::exit(1);
-}
-
-/// The worker process: reconstruct the campaign, run this shard to a
-/// landed result file, stream band-granularity heartbeats on stdout.
-/// Exit codes: `0` landed, [`EXIT_EVICTED`] cooperative stop with the
-/// checkpoint resumable, `1` error, `2` unusable configuration.
+/// The worker process: reconstruct the circuit and flow, then hand over
+/// to [`shardsup::run_worker`], which loads the supervisor's test set and
+/// runs this shard to a landed result file. Exit codes: `0` landed,
+/// [`shardsup::EXIT_EVICTED`] cooperative stop with the checkpoint
+/// resumable, `1` error, `2` unusable configuration.
 fn worker_main(spec: ShardSpec) -> ! {
-    let ShardSpec { shard, shards } = spec;
     // Handlers go in before any expensive work: a SIGTERM that lands
-    // during circuit generation or ATPG must set the drain flag, not
-    // kill the process with the default disposition (which the
+    // during circuit generation or flow preparation must set the drain
+    // flag, not kill the process with the default disposition (which the
     // supervisor would charge as a crash instead of an eviction).
-    let token = fastmon_obs::CancelToken::new();
     fastmon_daemon::signals::install_drain_handlers();
-    {
-        let token = token.clone();
-        std::thread::spawn(move || loop {
-            if fastmon_daemon::signals::drain_requested() {
-                token.cancel();
-                return;
-            }
-            std::thread::sleep(std::time::Duration::from_millis(25));
-        });
-    }
+    let token = fastmon_obs::CancelToken::linked(fastmon_daemon::signals::drain_flag());
     let dir = PathBuf::from(env_or(spec, ENV_DIR));
     let profile_name = env_or(spec, ENV_PROFILE);
     let raw_scale = env_or(spec, ENV_SCALE);
@@ -174,23 +158,11 @@ fn worker_main(spec: ShardSpec) -> ! {
     let Some(base) = paper_suite().into_iter().find(|p| p.name == profile_name) else {
         worker_fail(spec, &format!("unknown circuit profile {profile_name:?}"));
     };
-    let profile = base.scaled(scale);
-    let circuit = match profile.generate(config.seed) {
+    let circuit = match base.scaled(scale).generate(config.seed) {
         Ok(c) => c,
         Err(e) => worker_fail(spec, &format!("cannot generate circuit: {e}")),
     };
     let flow = HdfTestFlow::prepare(&circuit, &config.flow_config());
-    let patterns = match flow.try_generate_patterns(Some(profile.pattern_budget)) {
-        Ok(p) => p,
-        Err(e) => worker_fail(spec, &format!("pattern generation failed: {e}")),
-    };
-
-    // The token is attached only now — after ATPG — and the campaign
-    // observes it strictly *after* each band checkpoint, so even an
-    // eviction signal that arrived before the campaign started still
-    // banks at least one band of durable progress per evict/readmit
-    // cycle. That ordering is what makes RSS eviction livelock-free.
-    let flow = flow.with_cancel(token);
 
     // Chaos knob: FASTMON_SHARD_HANG="<shard>:<flag-path>" silences this
     // worker forever at its first band boundary — once, arbitrated by
@@ -198,49 +170,35 @@ fn worker_main(spec: ShardSpec) -> ! {
     // watchdog kills it and the respawn resumes from the checkpoint.
     let hang_flag = std::env::var("FASTMON_SHARD_HANG").ok().and_then(|v| {
         let (who, path) = v.split_once(':')?;
-        (who.parse::<usize>().ok()? == shard).then(|| PathBuf::from(path))
+        (who.parse::<usize>().ok()? == spec.shard).then(|| PathBuf::from(path))
     });
-
-    let total = patterns.len();
-    let outcome = flow.run_shard_to_result(&patterns, shard, shards, &dir, &mut |progress| {
-        let line = match progress {
-            CampaignProgress::Resumed { next_pattern, .. } => {
-                shard_events::resumed(shard, shards, next_pattern, total)
-            }
-            CampaignProgress::BandCheckpointed { next_pattern, .. } => {
-                if let Some(flag) = &hang_flag {
-                    let created = std::fs::OpenOptions::new()
-                        .write(true)
-                        .create_new(true)
-                        .open(flag)
-                        .is_ok();
-                    if created {
-                        loop {
-                            std::thread::sleep(std::time::Duration::from_secs(3600));
-                        }
-                    }
+    let mut hang = hang_flag.map(|flag| {
+        move || {
+            let created = std::fs::OpenOptions::new()
+                .write(true)
+                .create_new(true)
+                .open(&flag)
+                .is_ok();
+            if created {
+                loop {
+                    std::thread::sleep(std::time::Duration::from_secs(3600));
                 }
-                shard_events::heartbeat(shard, shards, next_pattern, total)
             }
-        };
-        println!("{line}");
+        }
     });
-    match outcome {
-        Ok(fingerprint) => {
-            println!("{}", shard_events::done(shard, shards, fingerprint));
-            let _ = std::io::stdout().flush();
-            std::process::exit(0);
-        }
-        Err(FlowError::Cancelled { phase }) => {
-            eprintln!("[shard-worker {spec}] cancelled during {phase}; checkpoint is resumable");
-            std::process::exit(EXIT_EVICTED);
-        }
-        Err(e) => worker_fail(spec, &e.to_string()),
-    }
+    shardsup::run_worker(
+        flow,
+        token,
+        spec,
+        &dir,
+        hang.as_mut().map(|h| h as &mut dyn FnMut()),
+    )
 }
 
 /// Runs the campaign for `flow`/`patterns` as `config.shards` supervised
-/// child processes under `dir` and merges the landed results.
+/// child processes under `dir` and merges the landed results. `patterns`
+/// is landed under `dir` once, before any child starts, and every worker
+/// simulates exactly that set.
 ///
 /// `worker_bin` overrides the child executable (tests point it at a
 /// specific experiment binary); the default is the current executable,
@@ -256,8 +214,10 @@ fn worker_main(spec: ShardSpec) -> ! {
 ///
 /// [`SuperviseError::Shardsup`] when the supervisor fails (unusable
 /// `FASTMON_SHARD_*` knobs, a shard exhausting its respawn budget,
-/// cancellation), [`SuperviseError::Flow`] when a landed result cannot
-/// be loaded or merged, [`SuperviseError::Parity`] when
+/// cancellation, a worker that cannot load the landed test set),
+/// [`SuperviseError::Flow`] when the test set cannot be landed (before
+/// any worker is spawned) or a landed result cannot be loaded or merged,
+/// [`SuperviseError::Parity`] when
 /// `FASTMON_SHARD_VERIFY=1` finds a fingerprint divergence.
 #[allow(clippy::too_many_arguments)]
 pub fn supervise(
@@ -281,6 +241,9 @@ pub fn supervise(
             })
         })?,
     };
+
+    flow.land_shard_patterns(patterns, dir)
+        .map_err(SuperviseError::Flow)?;
 
     let mut launch = |shard: usize, attempt: u32| -> std::io::Result<Child> {
         let mut cmd = Command::new(&exe);

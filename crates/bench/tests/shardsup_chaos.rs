@@ -3,7 +3,9 @@
 //! simulating a real (tiny) paper-suite campaign, abused with kill -9,
 //! armed failpoints, a forced stall, a forced RSS eviction and a
 //! supervisor restart mid-campaign — every merged result must be
-//! bit-identical to the clean serial baseline.
+//! bit-identical to the clean serial baseline. Workers load the test set
+//! the supervisor landed; a corrupt or missing artifact and an unusable
+//! shard directory must fail with typed errors, never hang or merge.
 //!
 //! Environment knobs (`FASTMON_SHARD_*`, `FASTMON_FAILPOINTS`) are
 //! process-global and inherited by the spawned workers, so all scenarios
@@ -15,10 +17,10 @@
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
-use fastmon_bench::shardsup::supervise;
+use fastmon_bench::shardsup::{supervise, SuperviseError};
 use fastmon_bench::ExperimentConfig;
 use fastmon_core::shardsup::send_signal;
-use fastmon_core::{HdfTestFlow, ShardsupError, SupervisorEvent};
+use fastmon_core::{FlowError, HdfTestFlow, ShardsupError, SupervisorEvent};
 use fastmon_netlist::generate::CircuitProfile;
 
 const SIGKILL: i32 = 9;
@@ -104,9 +106,7 @@ fn supervised_chaos_converges_to_the_serial_fingerprint() {
             },
         );
         match outcome {
-            Err(fastmon_bench::shardsup::SuperviseError::Shardsup(ShardsupError::Cancelled {
-                ..
-            })) => {}
+            Err(SuperviseError::Shardsup(ShardsupError::Cancelled { .. })) => {}
             // A tiny campaign can legitimately finish before the third
             // heartbeat trips the token; that still exercises phase B as
             // a pure already-landed restart.
@@ -279,11 +279,15 @@ fn supervised_chaos_converges_to_the_serial_fingerprint() {
     // A 1-byte ceiling evicts every worker at every probe; each
     // evict/readmit cycle still banks at least one band (the worker
     // observes the cancel only after a band checkpoint), so the campaign
-    // converges without spending any respawn budget.
+    // converges without spending any respawn budget. Workers load the
+    // landed test set and finish this tiny slice in tens of milliseconds,
+    // so the probe cadence is 1 ms: a worker is then probed as soon as
+    // its first heartbeat wakes the supervisor, not after a fixed delay
+    // it may never live to see.
     {
         let dir = tmp("rss");
         std::env::set_var("FASTMON_SHARD_RSS_BYTES", "1");
-        std::env::set_var("FASTMON_SHARD_RSS_POLL_MS", "25");
+        std::env::set_var("FASTMON_SHARD_RSS_POLL_MS", "1");
         std::env::set_var("FASTMON_SHARD_JOBS", "1");
         let run = supervise(
             &flow,
@@ -313,6 +317,135 @@ fn supervised_chaos_converges_to_the_serial_fingerprint() {
         assert_eq!(run.analysis.result_fingerprint(), golden);
         eprintln!("[chaos] rss: report {:?}", run.report);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    // ---- scenario 6: workers never run ATPG ------------------------------
+    // Every first-attempt worker has both ATPG failpoints armed: a worker
+    // that generated its own patterns would die on its first PODEM target
+    // or grading pass and be respawned. Loading the supervisor's test set
+    // never reaches either site, so no respawn is charged.
+    {
+        let dir = tmp("no-atpg");
+        std::env::set_var("FASTMON_FAILPOINTS", "atpg_podem=err@1;atpg_grade=err@1");
+        let run = supervise(
+            &flow,
+            &patterns,
+            &config,
+            name,
+            scale,
+            &dir,
+            Some(worker),
+            &mut |_| {},
+        )
+        .expect("workers that load the landed test set never reach ATPG");
+        std::env::remove_var("FASTMON_FAILPOINTS");
+        assert_eq!(
+            run.report.respawns, 0,
+            "a worker hit an ATPG failpoint: {:?}",
+            run.report
+        );
+        assert_eq!(run.analysis.result_fingerprint(), golden);
+        eprintln!("[chaos] no-atpg: report {:?}", run.report);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    // ---- scenario 7: corrupt or deleted test-set artifact ----------------
+    // Right after shard 0's first worker is spawned, the artifact is
+    // bit-flipped (or deleted) and that worker is SIGKILLed before it can
+    // land anything, so every later attempt of shard 0 finds the damaged
+    // artifact (as does any other shard's worker spawned after it). Each
+    // such attempt must report a `shard_error` naming the file and exit
+    // 1; once a shard's respawn budget is spent the supervisor returns a
+    // typed error without merging.
+    for damage in ["flip", "delete"] {
+        let dir = tmp(&format!("artifact-{damage}"));
+        let artifact = HdfTestFlow::shard_patterns_path(&dir);
+        let file_name = artifact.file_name().unwrap().to_string_lossy().into_owned();
+        let mut errors_naming_file = 0u32;
+        let outcome = supervise(
+            &flow,
+            &patterns,
+            &config,
+            name,
+            scale,
+            &dir,
+            Some(worker),
+            &mut |event| match event {
+                SupervisorEvent::Spawned {
+                    shard: 0,
+                    attempt: 0,
+                    pid,
+                } => {
+                    if damage == "flip" {
+                        let mut bytes = std::fs::read(&artifact).unwrap();
+                        let mid = bytes.len() / 2;
+                        bytes[mid] ^= 0x20;
+                        std::fs::write(&artifact, bytes).unwrap();
+                    } else {
+                        std::fs::remove_file(&artifact).unwrap();
+                    }
+                    assert!(send_signal(*pid, SIGKILL));
+                }
+                SupervisorEvent::Heartbeat {
+                    shard: 0, value, ..
+                } => {
+                    let field = |key| value.get(key).and_then(fastmon_obs::json::Value::as_str);
+                    if field("event") == Some("shard_error")
+                        && field("message").is_some_and(|m| m.contains(&file_name))
+                    {
+                        errors_naming_file += 1;
+                    }
+                }
+                _ => {}
+            },
+        );
+        match outcome {
+            Err(SuperviseError::Shardsup(ShardsupError::ShardFailed { attempts, .. })) => {
+                assert_eq!(attempts, 4, "{damage}: the default budget is 3 respawns");
+            }
+            Err(e) => panic!("{damage}: expected a shard to exhaust its budget, got {e}"),
+            Ok(run) => panic!("{damage}: a damaged artifact was merged: {:?}", run.report),
+        }
+        assert!(
+            errors_naming_file >= 1,
+            "{damage}: no shard_error named {file_name}"
+        );
+        eprintln!("[chaos] artifact-{damage}: {errors_naming_file} shard_error(s) naming the file");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    // ---- scenario 8: unwritable shard directory -------------------------
+    // The test set cannot be landed, so the supervisor must fail with a
+    // typed error before spawning a single worker. A regular file where
+    // the directory's parent should be blocks every user, root included.
+    {
+        let blocker = tmp("blocker").join("not-a-dir");
+        std::fs::write(&blocker, b"file").unwrap();
+        let dir = blocker.join("shards");
+        let mut spawned = 0u32;
+        let outcome = supervise(
+            &flow,
+            &patterns,
+            &config,
+            name,
+            scale,
+            &dir,
+            Some(worker),
+            &mut |event| {
+                if matches!(event, SupervisorEvent::Spawned { .. }) {
+                    spawned += 1;
+                }
+            },
+        );
+        match outcome {
+            Err(SuperviseError::Flow(FlowError::ShardPatterns { path, .. })) => {
+                assert!(path.starts_with(&dir), "{}", path.display());
+            }
+            Err(e) => panic!("unwritable dir: expected a ShardPatterns error, got {e}"),
+            Ok(_) => panic!("unwritable dir: supervise succeeded"),
+        }
+        assert_eq!(spawned, 0, "workers were spawned without a landed test set");
+        let _ = std::fs::remove_dir_all(blocker.parent().unwrap());
     }
 
     std::env::remove_var("FASTMON_SHARD_BACKOFF_MS");

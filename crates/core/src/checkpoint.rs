@@ -9,6 +9,12 @@
 //! renamed over the destination, so a crash mid-write never leaves a
 //! half-written checkpoint behind.
 //!
+//! The same machinery (atomic write, FNV-1a trailer, typed
+//! [`CheckpointError`]s) persists one [`TestSet`] as a test-set artifact
+//! (magic `FMTS`, see [`encode_test_set`]): a shard supervisor lands its
+//! patterns once and every worker process loads them instead of
+//! re-running ATPG.
+//!
 //! Resuming is bit-exact: the campaign merges per-pattern results in a
 //! fixed pattern order, so restarting from any band boundary yields the
 //! same [`DetectionAnalysis`](crate::DetectionAnalysis) as an
@@ -19,12 +25,19 @@ use std::cell::Cell;
 use std::fmt;
 use std::path::{Path, PathBuf};
 
+use fastmon_atpg::{TestPattern, TestSet};
 use fastmon_faults::{DetectionRange, Interval, IntervalSet};
+use fastmon_netlist::NodeId;
 
 /// Magic bytes leading every checkpoint file.
 pub const CHECKPOINT_MAGIC: [u8; 4] = *b"FMCK";
 /// Current checkpoint format version.
 pub const CHECKPOINT_VERSION: u32 = 1;
+
+/// Magic bytes leading every test-set artifact file.
+pub const TEST_SET_MAGIC: [u8; 4] = *b"FMTS";
+/// Current test-set artifact format version.
+pub const TEST_SET_VERSION: u32 = 1;
 
 /// Errors of checkpoint persistence.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -231,31 +244,7 @@ impl CheckpointStore {
     /// fires.
     pub fn save(&self, checkpoint: &CampaignCheckpoint) -> Result<u64, CheckpointError> {
         let bytes = encode(checkpoint);
-        if let Some(parent) = self.path.parent() {
-            if !parent.as_os_str().is_empty() {
-                std::fs::create_dir_all(parent).map_err(|e| CheckpointError::Io {
-                    op: "create dir",
-                    message: e.to_string(),
-                })?;
-            }
-        }
-        let mut tmp = self.path.clone().into_os_string();
-        tmp.push(".tmp");
-        let tmp = PathBuf::from(tmp);
-        // Failpoints fire *before* their syscall so an injected failure
-        // never leaves a half-written file behind (the real write/rename
-        // is skipped entirely); injected errors are indistinguishable from
-        // transient I/O to the retry machinery upstream.
-        fastmon_obs::failpoints::fire("checkpoint_write").map_err(injected_io("write"))?;
-        std::fs::write(&tmp, &bytes).map_err(|e| CheckpointError::Io {
-            op: "write",
-            message: e.to_string(),
-        })?;
-        fastmon_obs::failpoints::fire("checkpoint_rename").map_err(injected_io("rename"))?;
-        std::fs::rename(&tmp, &self.path).map_err(|e| CheckpointError::Io {
-            op: "rename",
-            message: e.to_string(),
-        })?;
+        write_atomic(&self.path, &bytes, true)?;
         if self.saves.get() == 0 {
             // Best-effort: the sidecar lets a resuming process link its
             // trace back to this run's; losing it only costs the link,
@@ -326,6 +315,32 @@ fn io_err(op: &'static str) -> impl Fn(std::io::Error) -> CheckpointError {
         op,
         message: e.to_string(),
     }
+}
+
+/// Writes `bytes` to `path` atomically: the record goes to a sibling
+/// `<path>.tmp` and is renamed over the destination, so a crash mid-write
+/// never leaves a half-written file behind. With `inject` set, the
+/// `checkpoint_write`/`checkpoint_rename` failpoints fire *before* their
+/// syscall, so an injected failure never leaves a half-written file either
+/// (the real write/rename is skipped entirely) and is indistinguishable
+/// from transient I/O to the retry machinery upstream.
+fn write_atomic(path: &Path, bytes: &[u8], inject: bool) -> Result<(), CheckpointError> {
+    if let Some(parent) = path.parent() {
+        if !parent.as_os_str().is_empty() {
+            std::fs::create_dir_all(parent).map_err(io_err("create dir"))?;
+        }
+    }
+    let mut tmp = path.to_path_buf().into_os_string();
+    tmp.push(".tmp");
+    let tmp = PathBuf::from(tmp);
+    if inject {
+        fastmon_obs::failpoints::fire("checkpoint_write").map_err(injected_io("write"))?;
+    }
+    std::fs::write(&tmp, bytes).map_err(io_err("write"))?;
+    if inject {
+        fastmon_obs::failpoints::fire("checkpoint_rename").map_err(injected_io("rename"))?;
+    }
+    std::fs::rename(&tmp, path).map_err(io_err("rename"))
 }
 
 /// True when `pid` is a currently-live process. Uses `/proc` where it
@@ -617,6 +632,122 @@ impl Drop for JobStore {
     }
 }
 
+/// Atomically persists `set` to `path` as a test-set artifact (see
+/// [`encode_test_set`]).
+pub(crate) fn save_test_set(path: &Path, set: &TestSet) -> Result<(), CheckpointError> {
+    write_atomic(path, &encode_test_set(set), false)
+}
+
+/// Loads and validates the test-set artifact at `path`:
+/// [`CheckpointError::Missing`] when no file exists, the errors of
+/// [`decode_test_set`] when it is not a valid artifact.
+pub(crate) fn load_test_set(path: &Path) -> Result<TestSet, CheckpointError> {
+    let bytes = std::fs::read(path).map_err(|e| {
+        if e.kind() == std::io::ErrorKind::NotFound {
+            CheckpointError::Missing
+        } else {
+            io_err("read")(e)
+        }
+    })?;
+    decode_test_set(&bytes)
+}
+
+/// Bytes of one packed launch or capture row of `width` bits (at least
+/// one, so every pattern occupies space and a corrupt pattern count can
+/// never outrun the payload).
+fn row_bytes(width: usize) -> usize {
+    width.div_ceil(8).max(1)
+}
+
+fn push_bits(out: &mut Vec<u8>, bits: &[bool]) {
+    let mut row = vec![0u8; row_bytes(bits.len())];
+    for (i, _) in bits.iter().enumerate().filter(|(_, &b)| b) {
+        row[i / 8] |= 1 << (i % 8);
+    }
+    out.extend_from_slice(&row);
+}
+
+/// Encodes `set` as a checksummed test-set artifact record: magic
+/// `FMTS`, format version, the source order, then every pattern's launch
+/// and capture bits (packed, least significant bit first), FNV-1a
+/// trailer.
+///
+/// # Example
+///
+/// ```
+/// use fastmon_atpg::{TestPattern, TestSet};
+/// use fastmon_core::{decode_test_set, encode_test_set};
+/// use fastmon_netlist::library;
+///
+/// let circuit = library::s27();
+/// let mut set = TestSet::new(&circuit);
+/// let width = set.sources().len();
+/// set.push(TestPattern::new(vec![false; width], vec![true; width]));
+/// assert_eq!(decode_test_set(&encode_test_set(&set)), Ok(set));
+/// ```
+#[must_use]
+pub fn encode_test_set(set: &TestSet) -> Vec<u8> {
+    let mut out = Vec::new();
+    out.extend_from_slice(&TEST_SET_MAGIC);
+    push_u32(&mut out, TEST_SET_VERSION);
+    push_u64(&mut out, set.sources().len() as u64);
+    for &src in set.sources() {
+        // node ids are u32 in the circuit arena
+        push_u32(&mut out, src.index() as u32);
+    }
+    push_u64(&mut out, set.len() as u64);
+    for pattern in set.iter() {
+        push_bits(&mut out, &pattern.launch);
+        push_bits(&mut out, &pattern.capture);
+    }
+    let checksum = fnv1a(&out);
+    push_u64(&mut out, checksum);
+    out
+}
+
+/// Decodes a test-set artifact record. Any input maps to a typed error or
+/// a valid set, never a panic. The decoded source order is not checked
+/// against any circuit here; that is the loader's job (see
+/// `HdfTestFlow::load_shard_patterns`).
+///
+/// # Errors
+///
+/// [`CheckpointError::BadMagic`], [`CheckpointError::UnsupportedVersion`],
+/// [`CheckpointError::ChecksumMismatch`] or [`CheckpointError::Truncated`]
+/// when `bytes` is not a valid current-version artifact.
+pub fn decode_test_set(bytes: &[u8]) -> Result<TestSet, CheckpointError> {
+    let mut cursor = open_record(bytes, TEST_SET_MAGIC, TEST_SET_VERSION)?;
+    let width = cursor.usize()?;
+    // a source count beyond the payload size is a corrupt length field
+    if width > cursor.remaining() / 4 {
+        return Err(CheckpointError::Truncated);
+    }
+    let mut sources = Vec::with_capacity(width);
+    for _ in 0..width {
+        sources.push(NodeId::from_index(cursor.u32()? as usize));
+    }
+    let count = cursor.usize()?;
+    let row = row_bytes(width);
+    if count.checked_mul(2 * row) != Some(cursor.remaining()) {
+        return Err(CheckpointError::Truncated);
+    }
+    let unpack = |bits: &[u8]| -> Vec<bool> {
+        (0..width)
+            .map(|i| bits[i / 8] >> (i % 8) & 1 == 1)
+            .collect()
+    };
+    let mut set = TestSet::from_sources(sources);
+    for _ in 0..count {
+        let launch = unpack(cursor.take(row)?);
+        let capture = unpack(cursor.take(row)?);
+        // both rows were unpacked to the source count, so the widths agree
+        set.try_push(TestPattern { launch, capture })
+            .map_err(|_| CheckpointError::Truncated)?;
+    }
+    cursor.finish()?;
+    Ok(set)
+}
+
 /// 64-bit FNV-1a over `bytes`, used both as the file checksum and (by the
 /// flow) as the campaign fingerprint hasher.
 #[must_use]
@@ -694,6 +825,20 @@ impl<'a> Cursor<'a> {
         Ok(slice)
     }
 
+    /// Bytes left before the end of the payload.
+    fn remaining(&self) -> usize {
+        self.data.len() - self.pos
+    }
+
+    /// Fails unless the whole payload was consumed.
+    fn finish(&self) -> Result<(), CheckpointError> {
+        if self.remaining() == 0 {
+            Ok(())
+        } else {
+            Err(CheckpointError::Truncated)
+        }
+    }
+
     fn u32(&mut self) -> Result<u32, CheckpointError> {
         let b = self.take(4)?;
         Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
@@ -732,22 +877,25 @@ impl<'a> Cursor<'a> {
     }
 }
 
-fn decode(bytes: &[u8]) -> Result<CampaignCheckpoint, CheckpointError> {
-    if bytes.len() < CHECKPOINT_MAGIC.len() {
+/// Validates a record's frame — `magic`, format `version` and the trailing
+/// FNV-1a checksum — and returns a cursor over its payload (the bytes
+/// between the version field and the checksum).
+fn open_record(bytes: &[u8], magic: [u8; 4], version: u32) -> Result<Cursor<'_>, CheckpointError> {
+    if bytes.len() < magic.len() {
         return Err(CheckpointError::Truncated);
     }
-    if bytes[..CHECKPOINT_MAGIC.len()] != CHECKPOINT_MAGIC {
+    if bytes[..magic.len()] != magic {
         return Err(CheckpointError::BadMagic);
     }
     let mut cursor = Cursor {
         data: bytes,
-        pos: CHECKPOINT_MAGIC.len(),
+        pos: magic.len(),
     };
-    let version = cursor.u32()?;
-    if version != CHECKPOINT_VERSION {
+    let got = cursor.u32()?;
+    if got != version {
         return Err(CheckpointError::UnsupportedVersion {
-            got: version,
-            supported: CHECKPOINT_VERSION,
+            got,
+            supported: version,
         });
     }
     if bytes.len() < cursor.pos + 8 {
@@ -763,12 +911,16 @@ fn decode(bytes: &[u8]) -> Result<CampaignCheckpoint, CheckpointError> {
         return Err(CheckpointError::ChecksumMismatch);
     }
     cursor.data = &bytes[..payload_end];
+    Ok(cursor)
+}
 
+fn decode(bytes: &[u8]) -> Result<CampaignCheckpoint, CheckpointError> {
+    let mut cursor = open_record(bytes, CHECKPOINT_MAGIC, CHECKPOINT_VERSION)?;
     let fingerprint = cursor.u64()?;
     let next_pattern = cursor.usize()?;
     let num_faults = cursor.usize()?;
     // a fault count beyond the payload size is a corrupt length field
-    if num_faults > payload_end {
+    if num_faults > cursor.remaining() {
         return Err(CheckpointError::Truncated);
     }
     let mut per_pattern = Vec::with_capacity(num_faults);
@@ -786,9 +938,7 @@ fn decode(bytes: &[u8]) -> Result<CampaignCheckpoint, CheckpointError> {
     for _ in 0..num_faults {
         raw_union.push(cursor.range()?);
     }
-    if cursor.pos != payload_end {
-        return Err(CheckpointError::Truncated);
-    }
+    cursor.finish()?;
     Ok(CampaignCheckpoint {
         fingerprint,
         next_pattern,

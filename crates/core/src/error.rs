@@ -104,6 +104,15 @@ pub enum FlowError {
         /// What was wrong with the file.
         reason: String,
     },
+    /// The test-set artifact a shard supervisor lands for its workers
+    /// cannot be written or read, is corrupt, or belongs to a different
+    /// circuit.
+    ShardPatterns {
+        /// The artifact file.
+        path: std::path::PathBuf,
+        /// What was wrong with it.
+        reason: String,
+    },
 }
 
 impl fmt::Display for FlowError {
@@ -142,6 +151,9 @@ impl fmt::Display for FlowError {
                     "shard {shard} of {shards} has no usable result file: {reason}"
                 )
             }
+            FlowError::ShardPatterns { path, reason } => {
+                write!(f, "shard test-set artifact {}: {reason}", path.display())
+            }
         }
     }
 }
@@ -158,7 +170,8 @@ impl std::error::Error for FlowError {
             | FlowError::Cancelled { .. }
             | FlowError::WorkerPanic { .. }
             | FlowError::ShardMerge { .. }
-            | FlowError::ShardResult { .. } => None,
+            | FlowError::ShardResult { .. }
+            | FlowError::ShardPatterns { .. } => None,
         }
     }
 }

@@ -7,7 +7,9 @@ use fastmon_timing::{ClockSpec, DelayAnnotation, DelayModel, Sta};
 use rand::prelude::*;
 use rand_chacha::ChaCha8Rng;
 
-use crate::checkpoint::{fnv1a, CampaignCheckpoint, CheckpointError, CheckpointStore};
+use crate::checkpoint::{
+    fnv1a, load_test_set, save_test_set, CampaignCheckpoint, CheckpointError, CheckpointStore,
+};
 use crate::schedule::{select_frequencies, select_patterns, ScheduleContext};
 use crate::{
     DetectionAnalysis, FlowConfig, FlowError, FrequencySelection, ScheduleError, Solver,
@@ -806,6 +808,78 @@ impl<'c> HdfTestFlow<'c> {
         shards: usize,
     ) -> std::path::PathBuf {
         dir.join(format!("shard-{shard}-of-{shards}.result"))
+    }
+
+    /// Where a supervised campaign under `dir` keeps the test set its
+    /// shard workers simulate (see [`HdfTestFlow::land_shard_patterns`]).
+    #[must_use]
+    pub fn shard_patterns_path(dir: &std::path::Path) -> std::path::PathBuf {
+        dir.join("shard-patterns.fmts")
+    }
+
+    /// Checks that `patterns` is a test set of this flow's circuit: same
+    /// source count (vector width) and same source order.
+    fn check_pattern_sources(&self, patterns: &TestSet) -> Result<(), String> {
+        let expected = TestSet::source_order(self.circuit);
+        if patterns.sources().len() != expected.len() {
+            return Err(format!(
+                "width {} does not match the circuit's {} source(s)",
+                patterns.sources().len(),
+                expected.len()
+            ));
+        }
+        if patterns.sources() != expected.as_slice() {
+            return Err("source order does not match the circuit's".to_string());
+        }
+        Ok(())
+    }
+
+    /// Lands `patterns` under `dir` as the campaign's test-set artifact
+    /// (atomic, FNV-checksummed, magic `FMTS`). A supervisor calls this
+    /// once, before it spawns any worker; every worker then loads the set
+    /// with [`HdfTestFlow::load_shard_patterns`] instead of re-running
+    /// ATPG.
+    ///
+    /// # Errors
+    ///
+    /// [`FlowError::ShardPatterns`] when `patterns` does not belong to
+    /// this flow's circuit or the file cannot be written.
+    pub fn land_shard_patterns(
+        &self,
+        patterns: &TestSet,
+        dir: &std::path::Path,
+    ) -> Result<(), FlowError> {
+        let path = Self::shard_patterns_path(dir);
+        let bad = |reason: String| FlowError::ShardPatterns {
+            path: path.clone(),
+            reason,
+        };
+        self.check_pattern_sources(patterns).map_err(bad)?;
+        save_test_set(&path, patterns).map_err(|e| bad(e.to_string()))
+    }
+
+    /// Loads the test set a supervisor landed under `dir` (see
+    /// [`HdfTestFlow::land_shard_patterns`]).
+    ///
+    /// # Errors
+    ///
+    /// [`FlowError::ShardPatterns`], naming the file, when the artifact is
+    /// missing, unreadable or corrupt, or when its source order or width
+    /// does not match this flow's circuit.
+    pub fn load_shard_patterns(&self, dir: &std::path::Path) -> Result<TestSet, FlowError> {
+        let path = Self::shard_patterns_path(dir);
+        let bad = |reason: String| FlowError::ShardPatterns {
+            path: path.clone(),
+            reason,
+        };
+        let patterns = load_test_set(&path).map_err(|e| {
+            bad(match e {
+                CheckpointError::Missing => "the file does not exist".to_string(),
+                other => other.to_string(),
+            })
+        })?;
+        self.check_pattern_sources(&patterns).map_err(bad)?;
+        Ok(patterns)
     }
 
     /// Whether shard `shard`'s result file under `dir` exists and

@@ -59,8 +59,9 @@ pub mod shardsup;
 
 pub use analysis::{DetectionAnalysis, FaultVerdict};
 pub use checkpoint::{
-    fnv1a, CampaignCheckpoint, CheckpointDir, CheckpointError, CheckpointStore, GcReport, JobStore,
-    CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
+    decode_test_set, encode_test_set, fnv1a, CampaignCheckpoint, CheckpointDir, CheckpointError,
+    CheckpointStore, GcReport, JobStore, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, TEST_SET_MAGIC,
+    TEST_SET_VERSION,
 };
 pub use config::FlowConfig;
 pub use diagnose::{diagnose, predicted_observations, DiagnosisCandidate, Observation};

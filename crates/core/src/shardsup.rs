@@ -30,6 +30,11 @@
 //!   takes precedence: a worker that stopped heartbeating before the
 //!   straggler threshold is only ever handled by the stall watchdog.
 //!
+//! Before any child starts, the supervisor lands the campaign's test set
+//! once ([`crate::HdfTestFlow::land_shard_patterns`]); every worker loads
+//! it instead of re-running ATPG, and [`run_worker`] is the shared worker
+//! side of the protocol.
+//!
 //! Completed shards land `shard-i-of-n.result` files (same atomic
 //! tmp+rename, FNV-checksummed `FMCK` codec as checkpoints); landing is
 //! idempotent, so the supervisor itself can be killed and restarted
@@ -38,13 +43,17 @@
 //! to the in-process serial reference.
 
 use std::collections::VecDeque;
-use std::io::{self, BufRead, BufReader};
+use std::io::{self, BufRead, BufReader, Write as _};
+use std::path::Path;
 use std::process::Child;
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
+use fastmon_obs::events::shard as shard_events;
 use fastmon_obs::json::{self, Value};
 use fastmon_obs::{CancelToken, MetricsRegistry};
+
+use crate::{CampaignProgress, FlowError, HdfTestFlow};
 
 /// Hard ceiling on shard and job counts: values above this are a config
 /// error, not an invitation to fork-bomb the host.
@@ -880,4 +889,74 @@ pub fn run(
     }
 
     Ok(report)
+}
+
+// -- worker side ---------------------------------------------------------
+
+/// Emits a `shard_error` heartbeat (so the supervisor's event stream
+/// carries the reason, not just a nonzero exit) and exits with code `1`.
+pub fn worker_fail(spec: ShardSpec, message: &str) -> ! {
+    println!("{}", shard_events::error(spec.shard, spec.shards, message));
+    let _ = io::stdout().flush();
+    eprintln!("[shard-worker {spec}] {message}");
+    std::process::exit(1);
+}
+
+/// The worker side of the protocol, shared by every worker shell once it
+/// holds its prepared `flow`: loads the supervisor's test set from `dir`,
+/// attaches the drain `token`, runs shard `spec` to a landed result file
+/// while streaming band-granularity heartbeats on stdout, and exits.
+///
+/// Exit codes: `0` result landed, [`EXIT_EVICTED`] cooperative stop with
+/// the checkpoint resumable, `1` worker error (a missing or corrupt
+/// test-set artifact included) reported by a `shard_error` heartbeat.
+///
+/// The token is attached only once the patterns are in hand, and the
+/// campaign observes it strictly *after* each band checkpoint, so even an
+/// eviction signal that arrived before the campaign started still banks
+/// at least one band of durable progress per evict/readmit cycle. That
+/// ordering is what makes RSS eviction livelock-free.
+///
+/// `on_band` runs at every band checkpoint before its heartbeat is sent
+/// (a chaos hook: a callback that never returns silences the worker).
+pub fn run_worker(
+    flow: HdfTestFlow<'_>,
+    token: CancelToken,
+    spec: ShardSpec,
+    dir: &Path,
+    mut on_band: Option<&mut dyn FnMut()>,
+) -> ! {
+    let ShardSpec { shard, shards } = spec;
+    let patterns = match flow.load_shard_patterns(dir) {
+        Ok(p) => p,
+        Err(e) => worker_fail(spec, &e.to_string()),
+    };
+    let flow = flow.with_cancel(token);
+    let total = patterns.len();
+    let outcome = flow.run_shard_to_result(&patterns, shard, shards, dir, &mut |progress| {
+        let line = match progress {
+            CampaignProgress::Resumed { next_pattern, .. } => {
+                shard_events::resumed(shard, shards, next_pattern, total)
+            }
+            CampaignProgress::BandCheckpointed { next_pattern, .. } => {
+                if let Some(hook) = on_band.as_mut() {
+                    hook();
+                }
+                shard_events::heartbeat(shard, shards, next_pattern, total)
+            }
+        };
+        println!("{line}");
+    });
+    match outcome {
+        Ok(fingerprint) => {
+            println!("{}", shard_events::done(shard, shards, fingerprint));
+            let _ = io::stdout().flush();
+            std::process::exit(0);
+        }
+        Err(FlowError::Cancelled { phase }) => {
+            eprintln!("[shard-worker {spec}] cancelled during {phase}; checkpoint is resumable");
+            std::process::exit(EXIT_EVICTED);
+        }
+        Err(e) => worker_fail(spec, &e.to_string()),
+    }
 }

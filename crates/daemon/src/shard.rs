@@ -8,9 +8,11 @@
 //! children — newline-JSON heartbeats over the stdout pipe, stall kills,
 //! crash respawns with capped exponential backoff, a `/proc`-based RSS
 //! watchdog with graceful eviction, and straggler re-dispatch. Each
-//! child rebuilds the identical campaign from the spec file (the
+//! child rebuilds the identical flow from the spec file (the
 //! [`crate::proto::to_submit_line`] round-trip pins the wire format),
-//! resumes from its own `shard-i-of-n.ckpt` and lands
+//! loads the test set the supervisor landed next to it
+//! (`shard-patterns.fmts`) instead of re-running ATPG, resumes from its
+//! own `shard-i-of-n.ckpt` and lands
 //! `shard-i-of-n.result`; the supervisor merges the landed results into
 //! an analysis that is bit-identical to the in-process run.
 //!
@@ -22,12 +24,11 @@ use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 
 use fastmon_atpg::TestSet;
-use fastmon_core::shardsup::{self, EXIT_EVICTED};
+use fastmon_core::shardsup::{self, worker_fail};
 use fastmon_core::{
-    CampaignProgress, DetectionAnalysis, FlowConfig, FlowError, HdfTestFlow, ShardSpec,
-    ShardsupError, SupervisorConfig, SupervisorEvent,
+    DetectionAnalysis, FlowConfig, FlowError, HdfTestFlow, ShardSpec, ShardsupError,
+    SupervisorConfig, SupervisorEvent,
 };
-use fastmon_obs::events::shard as shard_events;
 use fastmon_obs::json::Value;
 
 use crate::job::{build_circuit, JobError, JobEvent};
@@ -67,15 +68,6 @@ pub fn maybe_run_worker() {
     }
 }
 
-/// Emits a `shard_error` heartbeat (so the supervisor's event stream
-/// carries the reason, not just a nonzero exit) and dies.
-fn worker_fail(spec: ShardSpec, message: &str) -> ! {
-    println!("{}", shard_events::error(spec.shard, spec.shards, message));
-    let _ = std::io::Write::flush(&mut std::io::stdout());
-    eprintln!("[shard-worker {spec}] {message}");
-    std::process::exit(1);
-}
-
 fn read_spec(spec: ShardSpec, dir: &Path) -> Box<JobRequest> {
     let path = dir.join(SPEC_FILE);
     let text = match std::fs::read_to_string(&path) {
@@ -89,34 +81,23 @@ fn read_spec(spec: ShardSpec, dir: &Path) -> Box<JobRequest> {
     }
 }
 
-/// The worker process: rebuild the campaign from the landed spec, run
-/// this shard to a durable result file, stream band-granularity
-/// heartbeats on stdout. Exit codes: `0` landed, [`EXIT_EVICTED`]
-/// cooperative stop with the checkpoint resumable, `1` error, `2`
-/// unusable configuration.
+/// The worker process: rebuild the flow from the landed spec, then hand
+/// over to [`shardsup::run_worker`], which loads the supervisor's test
+/// set and runs this shard to a durable result file. Exit codes: `0`
+/// landed, [`shardsup::EXIT_EVICTED`] cooperative stop with the
+/// checkpoint resumable, `1` error, `2` unusable configuration.
 fn worker_main(spec: ShardSpec) -> ! {
-    let ShardSpec { shard, shards } = spec;
     // Handlers go in before any expensive work: a SIGTERM that lands
-    // during circuit generation or ATPG must set the drain flag, not
-    // kill the process with the default disposition (which the
+    // during circuit construction or flow preparation must set the drain
+    // flag, not kill the process with the default disposition (which the
     // supervisor would charge as a crash instead of an eviction).
-    let token = fastmon_obs::CancelToken::new();
     crate::signals::install_drain_handlers();
-    {
-        let token = token.clone();
-        std::thread::spawn(move || loop {
-            if crate::signals::drain_requested() {
-                token.cancel();
-                return;
-            }
-            std::thread::sleep(std::time::Duration::from_millis(25));
-        });
-    }
+    let token = fastmon_obs::CancelToken::linked(crate::signals::drain_flag());
     let Some(dir) = std::env::var_os(ENV_DIR).map(PathBuf::from) else {
         worker_fail(spec, &format!("{ENV_DIR} is not set"));
     };
     let req = read_spec(spec, &dir);
-    if req.shards != shards {
+    if req.shards != spec.shards {
         worker_fail(
             spec,
             &format!("spec says {} shards, launched as {spec}", req.shards),
@@ -142,42 +123,7 @@ fn worker_main(spec: ShardSpec) -> ! {
         Ok(f) => f,
         Err(e) => worker_fail(spec, &e.to_string()),
     };
-    let patterns = match flow.try_generate_patterns(req.pattern_budget) {
-        Ok(p) => p,
-        Err(e) => worker_fail(spec, &format!("pattern generation failed: {e}")),
-    };
-
-    // The token is attached only now — after ATPG — and the campaign
-    // observes it strictly *after* each band checkpoint, so even an
-    // eviction signal that arrived before the campaign started still
-    // banks at least one band of durable progress per evict/readmit
-    // cycle. That ordering is what makes RSS eviction livelock-free.
-    let flow = flow.with_cancel(token);
-
-    let total = patterns.len();
-    let outcome = flow.run_shard_to_result(&patterns, shard, shards, &dir, &mut |progress| {
-        let line = match progress {
-            CampaignProgress::Resumed { next_pattern, .. } => {
-                shard_events::resumed(shard, shards, next_pattern, total)
-            }
-            CampaignProgress::BandCheckpointed { next_pattern, .. } => {
-                shard_events::heartbeat(shard, shards, next_pattern, total)
-            }
-        };
-        println!("{line}");
-    });
-    match outcome {
-        Ok(fingerprint) => {
-            println!("{}", shard_events::done(shard, shards, fingerprint));
-            let _ = std::io::Write::flush(&mut std::io::stdout());
-            std::process::exit(0);
-        }
-        Err(FlowError::Cancelled { phase }) => {
-            eprintln!("[shard-worker {spec}] cancelled during {phase}; checkpoint is resumable");
-            std::process::exit(EXIT_EVICTED);
-        }
-        Err(e) => worker_fail(spec, &e.to_string()),
-    }
+    shardsup::run_worker(flow, token, spec, &dir, None)
 }
 
 /// Lands the job spec atomically (tmp + rename) so a worker racing a
@@ -219,6 +165,8 @@ pub(crate) fn run_supervised(
         other => JobError::Shardsup(other),
     })?;
     write_spec(dir, req)?;
+    flow.land_shard_patterns(patterns, dir)
+        .map_err(JobError::Flow)?;
     let exe = match std::env::var_os(ENV_WORKER_BIN).map(PathBuf::from) {
         Some(p) => p,
         None => std::env::current_exe().map_err(|e| {

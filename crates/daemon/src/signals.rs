@@ -51,6 +51,13 @@ pub fn drain_requested() -> bool {
     DRAIN.load(Ordering::SeqCst)
 }
 
+/// The drain flag itself, for a [`fastmon_obs::CancelToken::linked`]
+/// token that observes a signal at its next check.
+#[must_use]
+pub fn drain_flag() -> &'static AtomicBool {
+    &DRAIN
+}
+
 /// Programmatic equivalent of delivering `SIGTERM` — used by in-process
 /// tests that cannot signal themselves without killing the test runner.
 pub fn request_drain() {

@@ -37,6 +37,9 @@ impl Error for Cancelled {}
 struct Inner {
     cancelled: AtomicBool,
     deadline: Option<Instant>,
+    /// An external flag that cancels the token once set (a signal
+    /// handler's drain flag).
+    linked: Option<&'static AtomicBool>,
     /// When cancellation was requested (explicit `cancel()`) or first
     /// observed past the deadline — the start of the latency window.
     requested_at: OnceLock<Instant>,
@@ -56,6 +59,23 @@ impl CancelToken {
             inner: Arc::new(Inner {
                 cancelled: AtomicBool::new(false),
                 deadline: None,
+                linked: None,
+                requested_at: OnceLock::new(),
+            }),
+        }
+    }
+
+    /// A token that also cancels once `flag` is set — typically the flag
+    /// a `SIGTERM` handler stores to. Every check reads the flag itself,
+    /// so no watcher thread sits between the signal and the next
+    /// cancellation boundary.
+    #[must_use]
+    pub fn linked(flag: &'static AtomicBool) -> Self {
+        CancelToken {
+            inner: Arc::new(Inner {
+                cancelled: AtomicBool::new(false),
+                deadline: None,
+                linked: Some(flag),
                 requested_at: OnceLock::new(),
             }),
         }
@@ -68,6 +88,7 @@ impl CancelToken {
             inner: Arc::new(Inner {
                 cancelled: AtomicBool::new(false),
                 deadline: Instant::now().checked_add(budget),
+                linked: None,
                 requested_at: OnceLock::new(),
             }),
         }
@@ -84,6 +105,13 @@ impl CancelToken {
     #[must_use]
     pub fn is_cancelled(&self) -> bool {
         if self.inner.cancelled.load(Ordering::Relaxed) {
+            return true;
+        }
+        if self.inner.linked.is_some_and(|f| f.load(Ordering::SeqCst)) {
+            // The signal time is unknown; the first observation opens
+            // the latency window.
+            self.inner.requested_at.get_or_init(Instant::now);
+            self.inner.cancelled.store(true, Ordering::Relaxed);
             return true;
         }
         if let Some(deadline) = self.inner.deadline {
@@ -171,6 +199,20 @@ mod tests {
         assert_eq!(token.check("sta"), Err(Cancelled { phase: "sta" }));
         let roomy = CancelToken::with_deadline(Duration::from_secs(3600));
         assert!(roomy.check("sta").is_ok());
+    }
+
+    #[test]
+    fn linked_token_observes_its_flag_at_the_next_check() {
+        static FLAG: AtomicBool = AtomicBool::new(false);
+        let token = CancelToken::linked(&FLAG);
+        assert!(token.check("analyze").is_ok());
+        assert!(token.latency_since_request().is_none());
+        FLAG.store(true, Ordering::SeqCst);
+        assert_eq!(token.check("analyze"), Err(Cancelled { phase: "analyze" }));
+        assert!(token.latency_since_request().is_some());
+        // the observation latches, like an explicit cancel
+        FLAG.store(false, Ordering::SeqCst);
+        assert!(token.is_cancelled());
     }
 
     #[test]

@@ -8,8 +8,7 @@
 //! cone), so the bookkeeping stays invisible in profiles.
 //!
 //! Because every campaign owns its registry, concurrent campaigns in one
-//! process attribute their work correctly — the process-wide counters in
-//! `fastmon_sim::stats` (now deprecated shims over a global registry) could
+//! process attribute their work correctly — process-wide counters could
 //! not distinguish them.
 
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -88,7 +88,7 @@ pub struct SimEngine<'c> {
     /// pessimistic pulse filtering happens on detection ranges instead)
     inertial: Option<f64>,
     /// campaign-scoped counters; `None` falls back to the process-wide
-    /// [`stats::global`] registry (the deprecated-shim path)
+    /// [`stats::global`] registry
     metrics: Option<&'c SimMetrics>,
 }
 
