@@ -15,8 +15,8 @@
 use fastmon_atpg::{AtpgConfig, AtpgError};
 use fastmon_bench::chaos;
 use fastmon_core::{
-    CheckpointError, CheckpointStore, DetectionAnalysis, FlowConfig, FlowError, HdfTestFlow,
-    Solver, TestSchedule,
+    CampaignProgress, CheckpointError, CheckpointStore, DetectionAnalysis, FlowConfig, FlowError,
+    HdfTestFlow, Solver, TestSchedule,
 };
 use fastmon_netlist::library;
 use fastmon_obs::failpoints;
@@ -118,6 +118,54 @@ fn chaos_under_failpoints_recovers_or_types_every_error() {
             ),
             "got {err:?}"
         );
+    }
+
+    // -- a failed compaction never destroys the journal it replaces: with
+    //    a snapshot and one band-delta segment on disk, a resume's first
+    //    save writes a full snapshot; with every write failing it exhausts
+    //    its retries with the typed I/O error, and a clean rerun resumes
+    //    from the untouched snapshot and segment, bit-identically.
+    {
+        let path = dir.join("compaction.fmck");
+        let mut seg1 = path.clone().into_os_string();
+        seg1.push(".seg1");
+        flow.analyze_resumable(
+            &patterns,
+            &CheckpointStore::new(&path).with_interrupt_after(2),
+        )
+        .expect_err("interruption hook leaves snapshot and segment behind");
+        let on_disk = (std::fs::read(&path).unwrap(), std::fs::read(&seg1).unwrap());
+        let two_bands = CheckpointStore::new(&path).load().unwrap().next_pattern;
+        assert!(two_bands < patterns.len(), "s27 needs a third band here");
+        failpoints::configure("checkpoint_write=io@every:1").unwrap();
+        let err = flow
+            .analyze_resumable(&patterns, &CheckpointStore::new(&path))
+            .expect_err("the compaction snapshot exhausts its retries");
+        failpoints::clear();
+        assert!(
+            matches!(
+                err,
+                FlowError::Checkpoint(CheckpointError::Io { op: "write", .. })
+            ),
+            "got {err:?}"
+        );
+        assert_eq!(
+            (std::fs::read(&path).unwrap(), std::fs::read(&seg1).unwrap()),
+            on_disk,
+            "a failed compaction touched the journal it replaces"
+        );
+        let resumes_before = flow.metrics().checkpoint.resumes.get();
+        let mut resumed_at = None;
+        let got = flow
+            .analyze_resumable_observed(&patterns, &CheckpointStore::new(&path), &mut |ev| {
+                if let CampaignProgress::Resumed { next_pattern, .. } = ev {
+                    resumed_at = Some(next_pattern);
+                }
+            })
+            .expect("rerun resumes from snapshot and segment");
+        assert_same_analysis(&got, &baseline, "failed compaction, then resume");
+        assert_eq!(flow.metrics().checkpoint.resumes.get() - resumes_before, 1);
+        assert_eq!(resumed_at, Some(two_bands), "resumed without the segment");
     }
 
     // -- checkpoint_rename=io@1: the atomic-rename step fails once; the

@@ -2,12 +2,26 @@
 //!
 //! [`DetectionAnalysis`](crate::DetectionAnalysis)'s banded campaign can
 //! persist its progress after every pattern band through a
-//! [`CheckpointStore`]. The on-disk format is a small versioned binary
-//! record (magic `FMCK`, format version, campaign fingerprint, raw
-//! per-pattern detection ranges) protected by an FNV-1a checksum, and every
-//! save is atomic: the record is written to a sibling `.tmp` file and
-//! renamed over the destination, so a crash mid-write never leaves a
-//! half-written checkpoint behind.
+//! [`CheckpointStore`]. A checkpoint is a *snapshot plus band deltas*:
+//!
+//! * the snapshot at `<path>` is a small versioned binary record (magic
+//!   `FMCK`, format version, campaign fingerprint, raw per-pattern
+//!   detection ranges) protected by an FNV-1a checksum;
+//! * each later band is a delta segment `<path>.seg1`, `<path>.seg2`, …
+//!   (magic `FMCD`, same framing) holding only what that band added: the
+//!   new `(pattern, range)` entries of every fault that gained some, plus
+//!   that fault's current union. Each segment names the snapshot checksum
+//!   and the `next_pattern` it continues from, so it only ever applies to
+//!   the exact state it was written after.
+//!
+//! Every save, snapshot or delta, is one atomic write: the record goes to
+//! a sibling `.tmp` file and is renamed into place, so a crash mid-write
+//! never leaves a half-written record behind. Loading reads the snapshot
+//! (whose errors are the store's errors) and applies segments in order up
+//! to the first one that is missing, corrupt or does not chain; a damaged
+//! segment therefore costs the bands from it on, never correctness. The
+//! bytes written per campaign grow with the state once instead of once
+//! per band.
 //!
 //! The same machinery (atomic write, FNV-1a trailer, typed
 //! [`CheckpointError`]s) persists one [`TestSet`] as a test-set artifact
@@ -21,7 +35,7 @@
 //! uninterrupted run — for any thread count on either side of the
 //! interruption.
 
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 use std::fmt;
 use std::path::{Path, PathBuf};
 
@@ -33,6 +47,11 @@ use fastmon_netlist::NodeId;
 pub const CHECKPOINT_MAGIC: [u8; 4] = *b"FMCK";
 /// Current checkpoint format version.
 pub const CHECKPOINT_VERSION: u32 = 1;
+
+/// Magic bytes leading every band-delta segment file.
+const DELTA_MAGIC: [u8; 4] = *b"FMCD";
+/// Current band-delta segment format version.
+const DELTA_VERSION: u32 = 1;
 
 /// Magic bytes leading every test-set artifact file.
 pub const TEST_SET_MAGIC: [u8; 4] = *b"FMTS";
@@ -147,7 +166,9 @@ pub struct CampaignCheckpoint {
     pub raw_union: Vec<DetectionRange>,
 }
 
-/// Persists campaign checkpoints to one file, atomically.
+/// Persists campaign checkpoints as a snapshot file plus band-delta
+/// segment files (`<path>.seg1`, `<path>.seg2`, …), each written
+/// atomically; see [`save`](Self::save) and [`load`](Self::load).
 ///
 /// # Example
 ///
@@ -173,6 +194,60 @@ pub struct CheckpointStore {
     path: PathBuf,
     interrupt_after: Option<usize>,
     saves: Cell<usize>,
+    journal: RefCell<Option<Journal>>,
+}
+
+/// What a store's last successful save put on disk: the snapshot its
+/// segments chain to and the state they reach. A save that extends this
+/// state is written as the next segment.
+#[derive(Debug)]
+struct Journal {
+    fingerprint: u64,
+    /// FNV-1a trailer of the snapshot file.
+    snapshot: u64,
+    next_pattern: usize,
+    /// Per fault: entries already on disk.
+    entries: Vec<usize>,
+    /// Segments written after the snapshot.
+    segments: usize,
+}
+
+impl Journal {
+    fn new(cp: &CampaignCheckpoint, snapshot: u64) -> Self {
+        Journal {
+            fingerprint: cp.fingerprint,
+            snapshot,
+            next_pattern: cp.next_pattern,
+            entries: cp.per_pattern.iter().map(Vec::len).collect(),
+            segments: 0,
+        }
+    }
+
+    /// True when `cp` is this state grown by whole bands: same campaign
+    /// and fault count, `next_pattern` not smaller, and every fault's list
+    /// only appended to with entries of patterns in
+    /// `[self.next_pattern, cp.next_pattern)` — exactly what a delta can
+    /// carry and [`Delta::apply`] accepts.
+    fn extended_by(&self, cp: &CampaignCheckpoint) -> bool {
+        let range = self.next_pattern..cp.next_pattern;
+        cp.fingerprint == self.fingerprint
+            && cp.next_pattern >= self.next_pattern
+            && cp.per_pattern.len() == self.entries.len()
+            && cp.raw_union.len() == self.entries.len()
+            && cp.per_pattern.iter().zip(&self.entries).all(|(list, &n)| {
+                list.get(n..)
+                    .is_some_and(|new| new.iter().all(|(p, _)| range.contains(&(*p as usize))))
+            })
+    }
+
+    /// Records that `cp` is now on disk as one more segment.
+    fn advance(&mut self, cp: &CampaignCheckpoint) {
+        self.next_pattern = cp.next_pattern;
+        for (n, list) in self.entries.iter_mut().zip(&cp.per_pattern) {
+            *n = list.len();
+        }
+        self.segments += 1;
+    }
 }
 
 /// Maps an [`fastmon_obs::InjectedFailure`] into the same
@@ -194,11 +269,12 @@ impl CheckpointStore {
             path: path.into(),
             interrupt_after: None,
             saves: Cell::new(0),
+            journal: RefCell::new(None),
         }
     }
 
-    /// Test hook simulating a crash: after `bands` successful saves, the
-    /// next save completes on disk and then returns
+    /// Test hook simulating a crash: the `bands`-th save (the first is
+    /// save one) completes on disk and then returns
     /// [`CheckpointError::Interrupted`], aborting the campaign with a
     /// valid, resumable checkpoint behind — exactly what a kill between
     /// two bands leaves.
@@ -232,9 +308,66 @@ impl CheckpointStore {
         u64::from_str_radix(text.trim(), 16).ok()
     }
 
-    /// Atomically persists `checkpoint` (write to `<path>.tmp`, then
-    /// rename) and returns the number of bytes written (used by the
-    /// campaign's checkpoint-latency telemetry).
+    /// Path of band-delta segment `k` (`<path>.seg<k>`, `k` from 1).
+    fn segment_path(&self, k: usize) -> PathBuf {
+        let mut p = self.path.clone().into_os_string();
+        p.push(format!(".seg{k}"));
+        PathBuf::from(p)
+    }
+
+    /// Removes every `<path>.seg<k>` file (and its `.tmp`), whatever
+    /// journal wrote it — gaps left by a damaged chain included.
+    fn remove_segments(&self) -> Result<(), CheckpointError> {
+        let Some(name) = self.path.file_name().and_then(|n| n.to_str()) else {
+            return Ok(());
+        };
+        let prefix = format!("{name}.seg");
+        let dir = match self.path.parent() {
+            Some(parent) if !parent.as_os_str().is_empty() => parent,
+            _ => Path::new("."),
+        };
+        let entries = match std::fs::read_dir(dir) {
+            Ok(entries) => entries,
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(()),
+            Err(e) => return Err(io_err("read dir")(e)),
+        };
+        for entry in entries.flatten() {
+            let file = entry.file_name();
+            let is_segment = file
+                .to_str()
+                .and_then(|f| f.strip_prefix(&prefix))
+                .map(|k| k.strip_suffix(".tmp").unwrap_or(k))
+                .is_some_and(|k| !k.is_empty() && k.bytes().all(|b| b.is_ascii_digit()));
+            if is_segment {
+                match std::fs::remove_file(entry.path()) {
+                    Ok(()) => {}
+                    Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
+                    Err(e) => return Err(io_err("remove")(e)),
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Persists `checkpoint` and returns the number of bytes written (used
+    /// by the campaign's checkpoint telemetry).
+    ///
+    /// When `checkpoint` extends what this store last saved — same
+    /// fingerprint and fault count, `next_pattern` not smaller, every
+    /// fault's entry list only appended to — only the difference is
+    /// written, as the next band-delta segment. Otherwise (the store's
+    /// first save, the first save after a [`load`](Self::load) or
+    /// [`clear`](Self::clear), any other state) the whole state is written
+    /// as a fresh snapshot, and segments left from earlier saves are then
+    /// removed on a best-effort basis (a leftover chains only to the
+    /// snapshot it was written after). The store trusts a growing checkpoint's already-saved
+    /// entries to be unchanged and a fault's union to change only along
+    /// with new entries — how the campaign grows its state.
+    ///
+    /// Either way the save is one atomic write (`<file>.tmp`, then
+    /// rename), so a crash leaves the previous snapshot and segments
+    /// intact and loadable. A failed save changes nothing the next save
+    /// relies on: a retry rewrites the same segment or snapshot.
     ///
     /// # Errors
     ///
@@ -243,8 +376,24 @@ impl CheckpointStore {
     /// [`with_interrupt_after`](Self::with_interrupt_after) test hook
     /// fires.
     pub fn save(&self, checkpoint: &CampaignCheckpoint) -> Result<u64, CheckpointError> {
-        let bytes = encode(checkpoint);
-        write_atomic(&self.path, &bytes, true)?;
+        let mut journal = self.journal.borrow_mut();
+        let written = match journal.as_mut().filter(|j| j.extended_by(checkpoint)) {
+            Some(j) => {
+                let bytes = encode_delta(j, checkpoint);
+                write_atomic(&self.segment_path(j.segments + 1), &bytes, true)?;
+                j.advance(checkpoint);
+                bytes.len()
+            }
+            None => {
+                let bytes = encode(checkpoint);
+                write_atomic(&self.path, &bytes, true)?;
+                *journal = Some(Journal::new(checkpoint, trailer(&bytes)));
+                // Best-effort: a stale segment chains only to the
+                // snapshot it was written after, so a survivor is inert.
+                let _ = self.remove_segments();
+                bytes.len()
+            }
+        };
         if self.saves.get() == 0 {
             // Best-effort: the sidecar lets a resuming process link its
             // trace back to this run's; losing it only costs the link,
@@ -255,11 +404,15 @@ impl CheckpointStore {
         self.saves.set(saves);
         match self.interrupt_after {
             Some(n) if saves >= n => Err(CheckpointError::Interrupted { bands: saves }),
-            _ => Ok(bytes.len() as u64),
+            _ => Ok(written as u64),
         }
     }
 
-    /// Loads and validates the checkpoint.
+    /// Loads and validates the checkpoint: the snapshot, then its
+    /// band-delta segments in order, up to the first one that is missing,
+    /// corrupt or does not continue the state read so far. A damaged
+    /// segment thus only rolls the result back to an earlier band. The
+    /// next [`save`](Self::save) of this store writes a full snapshot.
     ///
     /// # Errors
     ///
@@ -270,6 +423,7 @@ impl CheckpointStore {
     /// [`Truncated`](CheckpointError::Truncated)) when the file is not a
     /// valid current-version checkpoint.
     pub fn load(&self) -> Result<CampaignCheckpoint, CheckpointError> {
+        self.journal.replace(None);
         fastmon_obs::failpoints::fire("checkpoint_load").map_err(injected_io("read"))?;
         let bytes = std::fs::read(&self.path).map_err(|e| {
             if e.kind() == std::io::ErrorKind::NotFound {
@@ -281,25 +435,35 @@ impl CheckpointStore {
                 }
             }
         })?;
-        decode(&bytes)
+        let mut checkpoint = decode(&bytes)?;
+        let snapshot = trailer(&bytes);
+        for k in 1.. {
+            let Ok(segment) = std::fs::read(self.segment_path(k)) else {
+                break;
+            };
+            if !decode_delta(&segment).is_ok_and(|delta| delta.apply(&mut checkpoint, snapshot)) {
+                break;
+            }
+        }
+        Ok(checkpoint)
     }
 
-    /// Removes the checkpoint file (no-op when absent).
+    /// Removes the checkpoint: snapshot and segment files (no-op when
+    /// absent).
     ///
     /// # Errors
     ///
-    /// Returns [`CheckpointError::Io`] when the file exists but cannot be
+    /// Returns [`CheckpointError::Io`] when a file exists but cannot be
     /// removed.
     pub fn clear(&self) -> Result<(), CheckpointError> {
+        self.journal.replace(None);
         let _ = std::fs::remove_file(self.run_sidecar_path());
         match std::fs::remove_file(&self.path) {
-            Ok(()) => Ok(()),
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(()),
-            Err(e) => Err(CheckpointError::Io {
-                op: "remove",
-                message: e.to_string(),
-            }),
+            Ok(()) => {}
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
+            Err(e) => return Err(io_err("remove")(e)),
         }
+        self.remove_segments()
     }
 }
 
@@ -794,11 +958,7 @@ fn encode(cp: &CampaignCheckpoint) -> Vec<u8> {
     push_u64(&mut out, cp.next_pattern as u64);
     push_u64(&mut out, cp.per_pattern.len() as u64);
     for entries in &cp.per_pattern {
-        push_u64(&mut out, entries.len() as u64);
-        for (pattern, dr) in entries {
-            push_u32(&mut out, *pattern);
-            push_range(&mut out, dr);
-        }
+        push_entries(&mut out, entries);
     }
     for dr in &cp.raw_union {
         push_range(&mut out, dr);
@@ -806,6 +966,146 @@ fn encode(cp: &CampaignCheckpoint) -> Vec<u8> {
     let checksum = fnv1a(&out);
     push_u64(&mut out, checksum);
     out
+}
+
+fn push_entries(out: &mut Vec<u8>, entries: &[(u32, DetectionRange)]) {
+    push_u64(out, entries.len() as u64);
+    for (pattern, dr) in entries {
+        push_u32(out, *pattern);
+        push_range(out, dr);
+    }
+}
+
+/// The FNV-1a trailer of a record (its last 8 bytes; the caller checks
+/// that there are at least 8).
+fn trailer(record: &[u8]) -> u64 {
+    let mut b = [0u8; 8];
+    b.copy_from_slice(&record[record.len() - 8..]);
+    u64::from_le_bytes(b)
+}
+
+/// Encodes what `cp` adds to the state `journal` describes as a band-delta
+/// segment record: magic `FMCD`, format version, fingerprint, the snapshot
+/// checksum it chains to, the base and new `next_pattern`, then for every
+/// fault with new entries its index, those entries and its current union;
+/// FNV-1a trailer. `cp` must extend `journal` (see
+/// [`Journal::extended_by`]).
+fn encode_delta(journal: &Journal, cp: &CampaignCheckpoint) -> Vec<u8> {
+    let grown: Vec<(usize, &[(u32, DetectionRange)])> = cp
+        .per_pattern
+        .iter()
+        .zip(&journal.entries)
+        .enumerate()
+        .filter(|(_, (list, &n))| list.len() > n)
+        .map(|(fault, (list, &n))| (fault, &list[n..]))
+        .collect();
+    let mut out = Vec::new();
+    out.extend_from_slice(&DELTA_MAGIC);
+    push_u32(&mut out, DELTA_VERSION);
+    push_u64(&mut out, cp.fingerprint);
+    push_u64(&mut out, journal.snapshot);
+    push_u64(&mut out, journal.next_pattern as u64);
+    push_u64(&mut out, cp.next_pattern as u64);
+    push_u64(&mut out, grown.len() as u64);
+    for (fault, new) in grown {
+        push_u64(&mut out, fault as u64);
+        push_entries(&mut out, new);
+        push_range(&mut out, &cp.raw_union[fault]);
+    }
+    let checksum = fnv1a(&out);
+    push_u64(&mut out, checksum);
+    out
+}
+
+/// A decoded band-delta segment (see [`encode_delta`]).
+struct Delta {
+    fingerprint: u64,
+    snapshot: u64,
+    base: usize,
+    next_pattern: usize,
+    /// Ascending by fault.
+    faults: Vec<FaultDelta>,
+}
+
+/// One fault's part of a [`Delta`].
+struct FaultDelta {
+    fault: usize,
+    /// Entries the band added.
+    entries: Vec<(u32, DetectionRange)>,
+    /// The fault's union after the band.
+    union: DetectionRange,
+}
+
+impl Delta {
+    /// Applies this delta to `cp`, loaded from the snapshot whose trailer
+    /// is `snapshot`, if it continues exactly that state: same campaign
+    /// and snapshot, base at `cp.next_pattern`, faults in range and new
+    /// entries within `[base, next_pattern)`. Returns `false`, leaving `cp`
+    /// untouched, when it does not.
+    fn apply(self, cp: &mut CampaignCheckpoint, snapshot: u64) -> bool {
+        let range = self.base..self.next_pattern;
+        let chains = self.fingerprint == cp.fingerprint
+            && self.snapshot == snapshot
+            && self.base == cp.next_pattern
+            && self.next_pattern >= self.base
+            && self
+                .faults
+                .last()
+                .is_none_or(|f| f.fault < cp.per_pattern.len().min(cp.raw_union.len()))
+            && self.faults.iter().all(|f| {
+                f.entries
+                    .iter()
+                    .all(|(p, _)| range.contains(&(*p as usize)))
+            });
+        if !chains {
+            return false;
+        }
+        for f in self.faults {
+            cp.per_pattern[f.fault].extend(f.entries);
+            cp.raw_union[f.fault] = f.union;
+        }
+        cp.next_pattern = self.next_pattern;
+        true
+    }
+}
+
+/// Decodes a band-delta segment record. Any input maps to a typed error or
+/// a well-formed delta (faults strictly ascending), never a panic; whether
+/// it chains is [`Delta::apply`]'s question.
+fn decode_delta(bytes: &[u8]) -> Result<Delta, CheckpointError> {
+    let mut cursor = open_record(bytes, DELTA_MAGIC, DELTA_VERSION)?;
+    let fingerprint = cursor.u64()?;
+    let snapshot = cursor.u64()?;
+    let base = cursor.usize()?;
+    let next_pattern = cursor.usize()?;
+    let count = cursor.usize()?;
+    // every fault takes at least 24 bytes (index, entry count, union's
+    // output count): a larger count is a corrupt length field
+    if count > cursor.remaining() / 24 {
+        return Err(CheckpointError::Truncated);
+    }
+    let mut faults: Vec<FaultDelta> = Vec::with_capacity(count);
+    for _ in 0..count {
+        let fault = cursor.usize()?;
+        if faults.last().is_some_and(|prev| prev.fault >= fault) {
+            return Err(CheckpointError::Truncated);
+        }
+        let entries = cursor.entries()?;
+        let union = cursor.range()?;
+        faults.push(FaultDelta {
+            fault,
+            entries,
+            union,
+        });
+    }
+    cursor.finish()?;
+    Ok(Delta {
+        fingerprint,
+        snapshot,
+        base,
+        next_pattern,
+        faults,
+    })
 }
 
 struct Cursor<'a> {
@@ -859,6 +1159,17 @@ impl<'a> Cursor<'a> {
         Ok(f64::from_bits(self.u64()?))
     }
 
+    fn entries(&mut self) -> Result<Vec<(u32, DetectionRange)>, CheckpointError> {
+        let n = self.u64()?;
+        let mut entries = Vec::new();
+        for _ in 0..n {
+            let pattern = self.u32()?;
+            let dr = self.range()?;
+            entries.push((pattern, dr));
+        }
+        Ok(entries)
+    }
+
     fn range(&mut self) -> Result<DetectionRange, CheckpointError> {
         let outputs = self.usize()?;
         let mut dr = DetectionRange::new();
@@ -869,6 +1180,11 @@ impl<'a> Cursor<'a> {
             for _ in 0..n {
                 let start = self.f64()?;
                 let end = self.f64()?;
+                // encoders write only the finite, non-empty intervals a
+                // set stores; anything else would break its ordering
+                if !(start.is_finite() && end.is_finite() && start < end) {
+                    return Err(CheckpointError::Truncated);
+                }
                 set.insert(Interval::new(start, end));
             }
             dr.push(op, set);
@@ -902,12 +1218,7 @@ fn open_record(bytes: &[u8], magic: [u8; 4], version: u32) -> Result<Cursor<'_>,
         return Err(CheckpointError::Truncated);
     }
     let payload_end = bytes.len() - 8;
-    let stored = u64::from_le_bytes(
-        bytes[payload_end..]
-            .try_into()
-            .unwrap_or_else(|_| unreachable!("slice is exactly 8 bytes")),
-    );
-    if fnv1a(&bytes[..payload_end]) != stored {
+    if fnv1a(&bytes[..payload_end]) != trailer(bytes) {
         return Err(CheckpointError::ChecksumMismatch);
     }
     cursor.data = &bytes[..payload_end];
@@ -925,14 +1236,7 @@ fn decode(bytes: &[u8]) -> Result<CampaignCheckpoint, CheckpointError> {
     }
     let mut per_pattern = Vec::with_capacity(num_faults);
     for _ in 0..num_faults {
-        let n = cursor.u64()?;
-        let mut entries = Vec::new();
-        for _ in 0..n {
-            let pattern = cursor.u32()?;
-            let dr = cursor.range()?;
-            entries.push((pattern, dr));
-        }
-        per_pattern.push(entries);
+        per_pattern.push(cursor.entries()?);
     }
     let mut raw_union = Vec::with_capacity(num_faults);
     for _ in 0..num_faults {
@@ -974,6 +1278,10 @@ mod tests {
         let cp = sample();
         let bytes = encode(&cp);
         assert_eq!(decode(&bytes).unwrap(), cp);
+        // the snapshot is the FMCK v1 record byte for byte: length and
+        // checksum as the format has always encoded this sample
+        assert_eq!(bytes.len(), 256);
+        assert_eq!(fnv1a(&bytes), 0x1530_ae8a_a3b3_eae8);
     }
 
     #[test]
@@ -1227,6 +1535,225 @@ mod tests {
         let _ = std::fs::remove_dir_all(root);
     }
 
+    /// States of a 3-fault campaign after each of `n` bands of two
+    /// patterns: band `b` adds one entry to faults `b % 3` and
+    /// `(b + 1) % 3`, so every band leaves one fault untouched. The
+    /// entries overlap, so every union stays one interval, as a
+    /// campaign's unions coalesce.
+    fn bands(n: usize) -> Vec<CampaignCheckpoint> {
+        let mut cp = CampaignCheckpoint {
+            fingerprint: 0x5eed,
+            next_pattern: 0,
+            per_pattern: vec![Vec::new(); 3],
+            raw_union: vec![DetectionRange::new(); 3],
+        };
+        let mut states = Vec::new();
+        for b in 0..n {
+            for fault in [b % 3, (b + 1) % 3] {
+                let mut set = IntervalSet::new();
+                set.insert(Interval::new(0.5 * b as f64, 0.5 * b as f64 + 1.0));
+                let mut dr = DetectionRange::new();
+                dr.push(fault, set);
+                cp.raw_union[fault].merge(&dr);
+                cp.per_pattern[fault].push(((2 * b + fault % 2) as u32, dr));
+            }
+            cp.next_pattern = 2 * b + 2;
+            states.push(cp.clone());
+        }
+        states
+    }
+
+    /// A named way to damage a segment file.
+    type Damage = (&'static str, fn(&Path));
+
+    /// Names of the files in `dir`, sorted.
+    fn files(dir: &Path) -> Vec<String> {
+        let mut names: Vec<String> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        names.sort();
+        names
+    }
+
+    #[test]
+    fn band_saves_write_one_snapshot_then_deltas_that_load_back() {
+        let root = fresh_root("bands");
+        let store = CheckpointStore::new(root.join("c.ckpt"));
+        let states = bands(6);
+        let written: Vec<u64> = states.iter().map(|cp| store.save(cp).unwrap()).collect();
+        // the first save is today's FMCK v1 snapshot, byte for byte
+        assert_eq!(std::fs::read(store.path()).unwrap(), encode(&states[0]));
+        assert_eq!(written[0], encode(&states[0]).len() as u64);
+        let mut expected = vec!["c.ckpt".to_string(), "c.ckpt.run".to_string()];
+        expected.extend((1..6).map(|k| format!("c.ckpt.seg{k}")));
+        expected.sort();
+        assert_eq!(files(&root), expected);
+        // each delta carries one band, not the state grown so far
+        assert!(written[1..].iter().all(|&d| d == written[1]), "{written:?}");
+        assert!(written[5] < encode(&states[5]).len() as u64 / 2);
+        assert_eq!(store.load().unwrap(), states[5]);
+        // after a load the next save compacts: one snapshot, no segments
+        let more = bands(7);
+        store.save(&more[6]).unwrap();
+        assert_eq!(std::fs::read(store.path()).unwrap(), encode(&more[6]));
+        assert!(!root.join("c.ckpt.seg1").exists());
+        assert_eq!(store.load().unwrap(), more[6]);
+        let _ = std::fs::remove_dir_all(root);
+    }
+
+    #[test]
+    fn failed_delta_write_is_retried_without_a_gap() {
+        let root = fresh_root("retry");
+        let store = CheckpointStore::new(root.join("c.ckpt"));
+        let states = bands(4);
+        store.save(&states[0]).unwrap();
+        store.save(&states[1]).unwrap();
+        // a directory where the segment's temp file goes fails the write
+        let blocker = root.join("c.ckpt.seg2.tmp");
+        std::fs::create_dir(&blocker).unwrap();
+        assert!(matches!(
+            store.save(&states[2]).unwrap_err(),
+            CheckpointError::Io { op: "write", .. }
+        ));
+        assert!(!root.join("c.ckpt.seg2").exists());
+        std::fs::remove_dir(&blocker).unwrap();
+        // the retry rewrites the same segment; the next band follows it
+        store.save(&states[2]).unwrap();
+        store.save(&states[3]).unwrap();
+        assert!(root.join("c.ckpt.seg3").exists());
+        assert!(!root.join("c.ckpt.seg4").exists());
+        assert_eq!(store.load().unwrap(), states[3]);
+        let _ = std::fs::remove_dir_all(root);
+    }
+
+    #[test]
+    fn a_damaged_segment_k_loads_the_state_after_band_k_minus_1() {
+        let states = bands(5);
+        let damages: [Damage; 3] = [
+            ("missing", |p| std::fs::remove_file(p).unwrap()),
+            ("truncated", |p| {
+                let bytes = std::fs::read(p).unwrap();
+                std::fs::write(p, &bytes[..bytes.len() / 2]).unwrap();
+            }),
+            ("flipped", |p| {
+                let mut bytes = std::fs::read(p).unwrap();
+                let mid = bytes.len() / 2;
+                bytes[mid] ^= 0x08;
+                std::fs::write(p, bytes).unwrap();
+            }),
+        ];
+        for (tag, damage) in damages {
+            for k in 1..5 {
+                let root = fresh_root(&format!("damage-{tag}-{k}"));
+                let store = CheckpointStore::new(root.join("c.ckpt"));
+                for cp in &states {
+                    store.save(cp).unwrap();
+                }
+                damage(&root.join(format!("c.ckpt.seg{k}")));
+                // segment k holds band k; everything from it on is lost
+                assert_eq!(store.load().unwrap(), states[k - 1], "{tag} seg{k}");
+                let _ = std::fs::remove_dir_all(root);
+            }
+        }
+    }
+
+    #[test]
+    fn a_stale_segment_does_not_chain_after_a_fresh_snapshot() {
+        let root = fresh_root("stale");
+        let path = root.join("c.ckpt");
+        let states = bands(2);
+        let first = CheckpointStore::new(&path);
+        first.save(&states[0]).unwrap();
+        first.save(&states[1]).unwrap();
+        let stale = std::fs::read(root.join("c.ckpt.seg1")).unwrap();
+        // a different state at the same band boundary: only the snapshot
+        // checksum tells the two journals apart
+        let mut other = states[0].clone();
+        other.raw_union[2] = other.raw_union[0].clone();
+        let second = CheckpointStore::new(&path);
+        second.save(&other).unwrap();
+        assert!(!root.join("c.ckpt.seg1").exists(), "stale segment kept");
+        std::fs::write(root.join("c.ckpt.seg1"), stale).unwrap();
+        assert_eq!(second.load().unwrap(), other);
+        let _ = std::fs::remove_dir_all(root);
+    }
+
+    #[test]
+    fn clear_leaves_no_segment_file() {
+        let root = fresh_root("clear");
+        let store = CheckpointStore::new(root.join("c.ckpt"));
+        for cp in bands(4) {
+            store.save(&cp).unwrap();
+        }
+        // leftovers of an earlier journal: a gap and a torn temp file
+        std::fs::write(root.join("c.ckpt.seg9"), b"old").unwrap();
+        std::fs::write(root.join("c.ckpt.seg5.tmp"), b"torn").unwrap();
+        // another store's files are not this store's to remove
+        std::fs::write(root.join("d.ckpt.seg1"), b"other").unwrap();
+        std::fs::write(root.join("c.ckpt.segment"), b"not a segment").unwrap();
+        store.clear().unwrap();
+        assert_eq!(files(&root), vec!["c.ckpt.segment", "d.ckpt.seg1"]);
+        assert_eq!(store.load().unwrap_err(), CheckpointError::Missing);
+        // a cleared store starts over with a snapshot
+        let states = bands(2);
+        store.save(&states[1]).unwrap();
+        assert_eq!(std::fs::read(store.path()).unwrap(), encode(&states[1]));
+        let _ = std::fs::remove_dir_all(root);
+    }
+
+    #[test]
+    fn non_finite_interval_is_a_typed_error_not_a_panic() {
+        // [1, 2) then [3, NaN): a checksum-valid record no campaign writes,
+        // whose second insert would index an empty slice range
+        let mut set = IntervalSet::new();
+        set.insert(Interval::new(3.0, f64::NAN));
+        set.insert(Interval::new(1.0, 2.0));
+        let mut dr = DetectionRange::new();
+        dr.push(0, set);
+        let cp = CampaignCheckpoint {
+            fingerprint: 1,
+            next_pattern: 1,
+            per_pattern: vec![vec![(0, dr.clone())]],
+            raw_union: vec![dr],
+        };
+        assert_eq!(
+            decode(&encode(&cp)).unwrap_err(),
+            CheckpointError::Truncated
+        );
+    }
+
+    #[test]
+    fn job_dirs_holding_segments_are_completed_and_collected() {
+        use std::time::Duration;
+        let root = fresh_root("gc-segments");
+        let dirs = CheckpointDir::new(&root);
+        let states = bands(3);
+        // complete() removes a job dir whose checkpoint has segments
+        let job = dirs.acquire(0x51).unwrap();
+        for cp in &states {
+            job.store().save(cp).unwrap();
+        }
+        assert!(job.dir().join("campaign.ckpt.seg2").exists());
+        job.complete().unwrap();
+        assert!(!dirs.dir_for(0x51).exists());
+        // gc skips such a dir while it is locked, and removes it after
+        let job = dirs.acquire(0x52).unwrap();
+        for cp in &states {
+            job.store().save(cp).unwrap();
+        }
+        std::mem::forget(job);
+        let report = dirs.gc(&[], Duration::ZERO).unwrap();
+        assert!(report.removed.is_empty());
+        assert_eq!(report.kept_locked, 1);
+        assert!(dirs.dir_for(0x52).join("campaign.ckpt.seg2").exists());
+        std::fs::remove_file(dirs.dir_for(0x52).join("LOCK")).unwrap();
+        let report = dirs.gc(&[], Duration::ZERO).unwrap();
+        assert_eq!(report.removed, vec![0x52]);
+        assert!(!dirs.dir_for(0x52).exists());
+        let _ = std::fs::remove_dir_all(root);
+    }
+
     // Decoding is exposed to whatever bytes happen to be on disk; it must
     // map *any* input to a typed error or a valid checkpoint, never panic.
     use proptest::prelude::*;
@@ -1257,6 +1784,57 @@ mod tests {
             if let Err(e) = decode(&bytes) {
                 prop_assert!(!e.to_string().is_empty());
             }
+        }
+
+        #[test]
+        fn loading_arbitrary_segment_bytes_never_panics(
+            bytes in proptest::collection::vec(any::<u8>(), 0..512)
+        ) {
+            let root = fresh_root("prop-arbitrary");
+            let store = CheckpointStore::new(root.join("c.ckpt"));
+            let states = bands(1);
+            store.save(&states[0]).unwrap();
+            std::fs::write(root.join("c.ckpt.seg1"), &bytes).unwrap();
+            prop_assert_eq!(store.load().unwrap(), states[0].clone());
+            let _ = std::fs::remove_dir_all(root);
+        }
+
+        #[test]
+        fn loading_mutated_segments_never_panics(
+            pos in 0usize..4096,
+            mask in 0u8..255,
+            reseal in any::<bool>(),
+        ) {
+            let root = fresh_root("prop-mutated");
+            let store = CheckpointStore::new(root.join("c.ckpt"));
+            let states = bands(3);
+            for cp in &states {
+                store.save(cp).unwrap();
+            }
+            let seg = root.join("c.ckpt.seg1");
+            let mut bytes = std::fs::read(&seg).unwrap();
+            let len = bytes.len();
+            // mask + 1 keeps the XOR non-trivial (1..=255)
+            bytes[pos % len] ^= mask + 1;
+            if reseal {
+                // a fresh trailer takes the mutation past the checksum
+                // into the decoder and the chain checks
+                let checksum = fnv1a(&bytes[..len - 8]);
+                bytes[len - 8..].copy_from_slice(&checksum.to_le_bytes());
+            }
+            std::fs::write(&seg, &bytes).unwrap();
+            let loaded = store.load().unwrap();
+            if reseal {
+                // a forged record may chain with made-up values, but the
+                // state keeps its shape and never moves back
+                prop_assert_eq!(loaded.per_pattern.len(), 3);
+                prop_assert_eq!(loaded.raw_union.len(), 3);
+                prop_assert!(loaded.next_pattern >= states[0].next_pattern);
+            } else {
+                // FNV-1a catches every single-byte change
+                prop_assert_eq!(loaded, states[0].clone());
+            }
+            let _ = std::fs::remove_dir_all(root);
         }
     }
 }

@@ -65,6 +65,17 @@ fn sharded_runs_match_serial_for_any_shard_and_thread_count() {
     }
 }
 
+/// Files of shard `shard`'s checkpoint (snapshot and band-delta
+/// segments) left in `dir`.
+fn shard_checkpoint_files(dir: &std::path::Path, shard: usize) -> Vec<String> {
+    let name = format!("shard-{shard}-of-3.ckpt");
+    std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .filter(|f| *f == name || f.starts_with(&format!("{name}.seg")))
+        .collect()
+}
+
 #[test]
 fn resumable_sharded_campaign_matches_and_cleans_up() {
     let circuit = random_circuit(9);
@@ -85,11 +96,12 @@ fn resumable_sharded_campaign_matches_and_cleans_up() {
         events_per_shard.iter().all(|&n| n > 0),
         "every shard must surface progress events: {events_per_shard:?}"
     );
-    // finished shard checkpoints are removed
+    // finished shard checkpoints are removed, segments included
     for shard in 0..3 {
+        let left = shard_checkpoint_files(&dir, shard);
         assert!(
-            !dir.join(format!("shard-{shard}-of-3.ckpt")).exists(),
-            "shard {shard} left its checkpoint behind"
+            left.is_empty(),
+            "shard {shard} left its checkpoint behind: {left:?}"
         );
     }
     let _ = std::fs::remove_dir_all(&dir);
@@ -139,8 +151,10 @@ fn landed_shard_results_merge_bit_identical_and_are_idempotent() {
             .unwrap();
         assert_eq!(fp, flow.shard_fingerprint(&patterns, shard, 3));
         assert!(flow.shard_result_landed(&patterns, shard, 3, &dir));
-        // the finished checkpoint is cleared, the result file remains
+        // the finished checkpoint is cleared, segments included; the
+        // result file remains
         assert!(!HdfTestFlow::shard_checkpoint_path(&dir, shard, 3).exists());
+        assert_eq!(shard_checkpoint_files(&dir, shard), Vec::<String>::new());
         // re-dispatch after landing is free: nothing is re-simulated
         let again = flow
             .run_shard_to_result(&patterns, shard, 3, &dir, &mut |_| {})
