@@ -624,10 +624,10 @@ impl<'c> PodemModel<'c> {
 /// in the same (topological) order as the original whole-circuit walks.
 ///
 /// The *order* in which candidates are tried is testability-guided:
-/// [SCOAP-style](Testability) controllability/observability costs pick the
+/// SCOAP-style controllability/observability costs pick the
 /// easiest D-frontier gate and order backtrace decisions
 /// (easiest-controlling / hardest-non-controlling first), and a
-/// [static-learning](Learned) preamble turns provably contradictory
+/// static-learning preamble turns provably contradictory
 /// targets into instant `Untestable` answers and seeds the search with
 /// necessary source assignments. All of it is deterministic — identical
 /// circuits produce identical cubes on every run and thread count — but

@@ -20,7 +20,7 @@
 //! | `FASTMON_CHECKPOINT_DIR` | campaign-checkpoint directory | `target/fastmon-checkpoints` |
 //! | `FASTMON_FRESH` | set to `1` to discard existing checkpoints | unset |
 //! | `FASTMON_SHARDS` | fault-set shards per campaign (merge is bit-identical) | `1` |
-//! | `FASTMON_SHARD_PROCS` | set to `1` to run each shard as a supervised child process | unset |
+//! | `FASTMON_SHARD_PROCS` | set to `1` to run each shard as a supervised child process that rebuilds the campaign from the landed `shard-spec.json` (workers read none of these knobs) | unset |
 //! | `FASTMON_SHARD_JOBS` | concurrent shard workers under the supervisor | cores |
 //! | `FASTMON_SHARD_RSS_BYTES` | per-worker RSS ceiling before graceful eviction | unlimited |
 //! | `FASTMON_SHARD_STALL_SECS` | heartbeat silence before a worker is killed | `60` |

@@ -300,6 +300,7 @@ enum Attempt {
 /// record or a broken connection.
 fn attempt(root: &Path, line: &str) -> Attempt {
     let mut resumed = false;
+    let mut checkpointed = Checkpointed(false);
     let Some(stream) = connect(root) else {
         return Attempt::Retry { resumed };
     };
@@ -328,6 +329,7 @@ fn attempt(root: &Path, line: &str) -> Attempt {
             "resumed" => resumed = true,
             "band" => {
                 BANDS_SEEN.fetch_add(1, Ordering::Relaxed);
+                checkpointed.mark();
             }
             "reject" => {
                 std::thread::sleep(Duration::from_millis(200));
@@ -351,6 +353,33 @@ static BANDS_SEEN: AtomicU64 = AtomicU64::new(0);
 
 fn bands_seen() -> u64 {
     BANDS_SEEN.load(Ordering::Relaxed)
+}
+
+/// Attempts in flight that have reported a band checkpoint and no
+/// terminal record yet. A `kill -9` only fires while this is nonzero, so
+/// it hits at least one job that holds a durable checkpoint and resumes
+/// on resubmission — not jobs that are all still queued or in ATPG.
+static CHECKPOINTED_IN_FLIGHT: AtomicU64 = AtomicU64::new(0);
+
+/// Counts its attempt in [`CHECKPOINTED_IN_FLIGHT`] from the attempt's
+/// first band event until the attempt ends, however it ends.
+struct Checkpointed(bool);
+
+impl Checkpointed {
+    fn mark(&mut self) {
+        if !self.0 {
+            self.0 = true;
+            CHECKPOINTED_IN_FLIGHT.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+}
+
+impl Drop for Checkpointed {
+    fn drop(&mut self) {
+        if self.0 {
+            CHECKPOINTED_IN_FLIGHT.fetch_sub(1, Ordering::Relaxed);
+        }
+    }
 }
 
 /// Drives one campaign to `completed`, resubmitting across crashes.
@@ -481,12 +510,13 @@ pub fn run_soak(bin: &Path, root: &Path, plan: &SoakPlan) -> Result<SoakReport, 
         }));
     }
 
-    // kill scheduler: each kill waits for fresh band checkpoints so it
-    // lands mid-campaign, then SIGKILLs and restarts the daemon.
+    // kill scheduler: each kill waits for fresh band checkpoints and for
+    // an in-flight job that holds one, so it lands mid-campaign, then
+    // SIGKILLs and restarts the daemon.
     let mut kills = 0usize;
     for _ in 0..plan.kills {
         let target = bands_seen() + 3;
-        while bands_seen() < target {
+        while bands_seen() < target || CHECKPOINTED_IN_FLIGHT.load(Ordering::Relaxed) == 0 {
             if Instant::now() > deadline {
                 failed.store(true, Ordering::Relaxed);
                 break;
@@ -521,8 +551,11 @@ pub fn run_soak(bin: &Path, root: &Path, plan: &SoakPlan) -> Result<SoakReport, 
     }
 
     // SIGTERM drain with one job in flight: submit a fresh campaign,
-    // wait for its first band checkpoint, then drain. The job must end
-    // `cancelled` (resumable) or `completed`; the daemon must exit 0.
+    // wait until its in-flight attempt holds a band checkpoint, then
+    // drain. The job must end `cancelled` (resumable) or `completed`; the
+    // daemon must exit 0. An attempt that ends before the drain (an armed
+    // failpoint failed the job) is resubmitted, so the drain always meets
+    // the job in flight with a checkpoint to resume from.
     let drain_spec = CampaignSpec {
         tenant: "drain".to_string(),
         name: "drain-job".to_string(),
@@ -536,21 +569,37 @@ pub fn run_soak(bin: &Path, root: &Path, plan: &SoakPlan) -> Result<SoakReport, 
     };
     let results_before = landed_results(root);
     let drain_status = Arc::new(std::sync::Mutex::new(String::new()));
+    let draining = Arc::new(AtomicBool::new(false));
     let watcher = {
         let root = root.to_path_buf();
         let drain_status = Arc::clone(&drain_status);
-        std::thread::spawn(move || {
-            if let Attempt::Completed(_) = attempt(&root, &line) {
-                *drain_status
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner) = "completed".to_string();
+        let draining = Arc::clone(&draining);
+        std::thread::spawn(move || loop {
+            match attempt(&root, &line) {
+                Attempt::Completed(_) => {
+                    *drain_status
+                        .lock()
+                        .unwrap_or_else(std::sync::PoisonError::into_inner) =
+                        "completed".to_string();
+                    return;
+                }
+                Attempt::Retry { .. }
+                    if !draining.load(Ordering::SeqCst) && Instant::now() < deadline =>
+                {
+                    std::thread::sleep(Duration::from_millis(150));
+                }
+                Attempt::Retry { .. } => return,
             }
         })
     };
-    let before = bands_seen();
-    while bands_seen() == before && !watcher.is_finished() && Instant::now() < deadline {
+    // Every client attempt has ended, so the count is the drain job's.
+    while CHECKPOINTED_IN_FLIGHT.load(Ordering::Relaxed) == 0
+        && !watcher.is_finished()
+        && Instant::now() < deadline
+    {
         std::thread::sleep(Duration::from_millis(25));
     }
+    draining.store(true, Ordering::SeqCst);
     let drain_exit_zero = daemon.sigterm_and_wait();
     let _ = watcher.join();
     let drain_job_status = {

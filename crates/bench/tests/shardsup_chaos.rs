@@ -3,9 +3,10 @@
 //! simulating a real (tiny) paper-suite campaign, abused with kill -9,
 //! armed failpoints, a forced stall, a forced RSS eviction and a
 //! supervisor restart mid-campaign — every merged result must be
-//! bit-identical to the clean serial baseline. Workers load the test set
-//! the supervisor landed; a corrupt or missing artifact and an unusable
-//! shard directory must fail with typed errors, never hang or merge.
+//! bit-identical to the clean serial baseline. Workers rebuild their
+//! campaign from the spec and load the test set the supervisor landed; a
+//! corrupt, missing or foreign artifact and an unusable shard directory
+//! must fail with typed errors, never hang or merge.
 //!
 //! Environment knobs (`FASTMON_SHARD_*`, `FASTMON_FAILPOINTS`) are
 //! process-global and inherited by the spawned workers, so all scenarios
@@ -349,17 +350,33 @@ fn supervised_chaos_converges_to_the_serial_fingerprint() {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    // ---- scenario 7: corrupt or deleted test-set artifact ----------------
-    // Right after shard 0's first worker is spawned, the artifact is
-    // bit-flipped (or deleted) and that worker is SIGKILLed before it can
-    // land anything, so every later attempt of shard 0 finds the damaged
-    // artifact (as does any other shard's worker spawned after it). Each
-    // such attempt must report a `shard_error` naming the file and exit
-    // 1; once a shard's respawn budget is spent the supervisor returns a
-    // typed error without merging.
-    for damage in ["flip", "delete"] {
-        let dir = tmp(&format!("artifact-{damage}"));
-        let artifact = HdfTestFlow::shard_patterns_path(&dir);
+    // ---- scenario 7: corrupt, deleted or foreign landed artifact ---------
+    // Right after shard 0's first worker is spawned, one landed artifact
+    // — the test set or the spec — is bit-flipped, deleted or (the spec)
+    // replaced by a valid spec of another partition, and that worker is
+    // SIGKILLed before it can land anything, so every later attempt of
+    // shard 0 finds the damaged artifact (as does any other shard's worker
+    // spawned after it). Each such attempt must report a `shard_error`
+    // naming the file and exit 1; once a shard's respawn budget is spent
+    // the supervisor returns a typed error without merging. The `seed`
+    // case flips the low bit of the spec's flow-seed digit: the line still
+    // parses, as a different campaign, so only the spec's checksum can
+    // reject it.
+    let spec_file = fastmon_daemon::shard::SPEC_FILE;
+    for (target, damage) in [
+        ("patterns", "flip"),
+        ("patterns", "delete"),
+        ("spec", "flip"),
+        ("spec", "seed"),
+        ("spec", "delete"),
+        ("spec", "shards"),
+    ] {
+        let case = format!("{target}-{damage}");
+        let dir = tmp(&format!("artifact-{case}"));
+        let artifact = match target {
+            "patterns" => HdfTestFlow::shard_patterns_path(&dir),
+            _ => dir.join(spec_file),
+        };
         let file_name = artifact.file_name().unwrap().to_string_lossy().into_owned();
         let mut errors_naming_file = 0u32;
         let outcome = supervise(
@@ -376,13 +393,25 @@ fn supervised_chaos_converges_to_the_serial_fingerprint() {
                     attempt: 0,
                     pid,
                 } => {
-                    if damage == "flip" {
-                        let mut bytes = std::fs::read(&artifact).unwrap();
-                        let mid = bytes.len() / 2;
-                        bytes[mid] ^= 0x20;
-                        std::fs::write(&artifact, bytes).unwrap();
-                    } else {
-                        std::fs::remove_file(&artifact).unwrap();
+                    match damage {
+                        "flip" | "seed" => {
+                            let mut bytes = std::fs::read(&artifact).unwrap();
+                            let (at, bit) = match damage {
+                                "flip" => (bytes.len() / 2, 0x20),
+                                _ => {
+                                    let text = String::from_utf8_lossy(&bytes);
+                                    (text.rfind("\"seed\":").unwrap() + 7, 0x01)
+                                }
+                            };
+                            bytes[at] ^= bit;
+                            std::fs::write(&artifact, bytes).unwrap();
+                        }
+                        "delete" => std::fs::remove_file(&artifact).unwrap(),
+                        _ => {
+                            let mut req = fastmon_daemon::shard::read_spec(&dir).unwrap();
+                            req.shards = config.shards - 1;
+                            fastmon_daemon::shard::write_spec(&dir, &req).unwrap();
+                        }
                     }
                     assert!(send_signal(*pid, SIGKILL));
                 }
@@ -401,16 +430,16 @@ fn supervised_chaos_converges_to_the_serial_fingerprint() {
         );
         match outcome {
             Err(SuperviseError::Shardsup(ShardsupError::ShardFailed { attempts, .. })) => {
-                assert_eq!(attempts, 4, "{damage}: the default budget is 3 respawns");
+                assert_eq!(attempts, 4, "{case}: the default budget is 3 respawns");
             }
-            Err(e) => panic!("{damage}: expected a shard to exhaust its budget, got {e}"),
-            Ok(run) => panic!("{damage}: a damaged artifact was merged: {:?}", run.report),
+            Err(e) => panic!("{case}: expected a shard to exhaust its budget, got {e}"),
+            Ok(run) => panic!("{case}: a damaged artifact was merged: {:?}", run.report),
         }
         assert!(
             errors_naming_file >= 1,
-            "{damage}: no shard_error named {file_name}"
+            "{case}: no shard_error named {file_name}"
         );
-        eprintln!("[chaos] artifact-{damage}: {errors_naming_file} shard_error(s) naming the file");
+        eprintln!("[chaos] artifact-{case}: {errors_naming_file} shard_error(s) naming the file");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

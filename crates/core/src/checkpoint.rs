@@ -594,7 +594,7 @@ fn claim_for_removal(dir: &Path) -> bool {
 /// The lock exists because checkpoint saves are atomic *renames*: two
 /// same-fingerprint campaigns pointed at one file would each rename
 /// valid-but-different checkpoints over the other, and a resume could
-/// then merge bands from interleaved histories. [`acquire`] makes the
+/// then merge bands from interleaved histories. [`CheckpointDir::acquire`] makes the
 /// second campaign fail fast with [`CheckpointError::Locked`] instead.
 /// Locks left behind by a `kill -9` name a dead PID and are stolen on
 /// the next acquire, so crash recovery never needs manual cleanup.

@@ -762,12 +762,13 @@ impl<'c> HdfTestFlow<'c> {
     ) -> Result<DetectionAnalysis, FlowError> {
         let shards = shards.max(1);
         let mut parts = Vec::with_capacity(shards);
-        for shard in 0..shards {
-            parts.push(self.analyze_shard_resumable_observed(
+        for (shard, range) in self.shard_ranges(shards).into_iter().enumerate() {
+            let store = CheckpointStore::new(Self::shard_checkpoint_path(dir, shard, shards));
+            parts.push(self.analyze_list_resumable_observed(
+                self.candidate_faults.slice(range),
+                self.shard_fingerprint(patterns, shard, shards),
                 patterns,
-                shard,
-                shards,
-                dir,
+                &store,
                 &mut |progress| observe(shard, progress),
             )?);
         }
@@ -909,38 +910,6 @@ impl<'c> HdfTestFlow<'c> {
         }
     }
 
-    /// Crash-safe campaign over one shard of a `shards`-way partition:
-    /// the shard persists (and resumes from) its own
-    /// `shard-<i>-of-<n>.ckpt` under `dir`; the finished checkpoint is
-    /// removed.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`HdfTestFlow::analyze_resumable`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shard >= shards`.
-    pub fn analyze_shard_resumable_observed(
-        &self,
-        patterns: &TestSet,
-        shard: usize,
-        shards: usize,
-        dir: &std::path::Path,
-        observe: &mut dyn FnMut(CampaignProgress),
-    ) -> Result<DetectionAnalysis, FlowError> {
-        let fingerprint = self.shard_fingerprint(patterns, shard, shards);
-        let range = self.shard_ranges(shards)[shard].clone();
-        let store = CheckpointStore::new(Self::shard_checkpoint_path(dir, shard, shards));
-        self.analyze_list_resumable_observed(
-            self.candidate_faults.slice(range),
-            fingerprint,
-            patterns,
-            &store,
-            observe,
-        )
-    }
-
     /// The shard-worker entry point of the multi-process supervisor: runs
     /// shard `shard` (resuming from its checkpoint if one exists) and
     /// lands the completed raw results as `shard-<i>-of-<n>.result` under
@@ -1016,7 +985,7 @@ impl<'c> HdfTestFlow<'c> {
     /// # Panics
     ///
     /// Panics if `shard >= shards`.
-    pub fn load_shard_result(
+    fn load_shard_result(
         &self,
         patterns: &TestSet,
         shard: usize,

@@ -15,10 +15,11 @@
 //!   or OOMs is respawned with capped exponential backoff (default 3
 //!   retries) while the other shards keep running.
 //! * **Memory enforcement** — an RSS watchdog polls each child's
-//!   `/proc/<pid>/status` `VmRSS` against `FASTMON_SHARD_RSS_BYTES` and
-//!   SIGTERMs the offender; the worker's cooperative cancellation stops
-//!   at the next band boundary with its progress checkpointed
-//!   (exit [`EXIT_EVICTED`]) and the shard is re-admitted later without
+//!   `/proc/<pid>/status` `VmRSS` against `FASTMON_SHARD_RSS_BYTES`, from
+//!   the child's first heartbeat on, and SIGTERMs the offender; the
+//!   worker's cooperative cancellation stops at the next band boundary
+//!   with its progress checkpointed (exit [`EXIT_EVICTED`]) and the
+//!   shard is re-admitted later without
 //!   charging its retry budget. Because cancellation is observed *after*
 //!   the band checkpoint, every evict/readmit cycle makes at least one
 //!   band of durable progress — the loop converges even under a limit
@@ -44,7 +45,7 @@
 
 use std::collections::VecDeque;
 use std::io::{self, BufRead, BufReader, Write as _};
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::process::Child;
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
@@ -455,6 +456,12 @@ struct RunningShard {
     started: Instant,
     last_event: Instant,
     last_rss_poll: Instant,
+    /// Heartbeats received from this attempt. A worker installs its
+    /// SIGTERM handler before it sends anything, so only after the first
+    /// can the RSS watchdog evict it: a SIGTERM that lands earlier (during
+    /// exec or runtime start-up) kills it with the default disposition, a
+    /// charged crash.
+    heartbeats: u32,
     /// SIGTERMed by the RSS watchdog; an `EXIT_EVICTED` exit is expected
     /// and uncharged.
     evicting: bool,
@@ -688,6 +695,7 @@ pub fn run(
                 started: now,
                 last_event: now,
                 last_rss_poll: now,
+                heartbeats: 0,
                 evicting: false,
                 stall_killed: false,
                 redispatch_killed: false,
@@ -724,6 +732,7 @@ pub fn run(
                     }
                     if let Some(rs) = running.iter_mut().find(|rs| rs.shard == shard) {
                         rs.last_event = Instant::now();
+                        rs.heartbeats = rs.heartbeats.saturating_add(1);
                     }
                     on_event(SupervisorEvent::Heartbeat { shard, line, value });
                 }
@@ -771,7 +780,8 @@ pub fn run(
                 // RSS watchdog: SIGTERM over the ceiling; the worker
                 // checkpoints at the next band boundary and exits 75.
                 if let Some(limit) = config.rss_limit_bytes {
-                    if !rs.evicting
+                    if rs.heartbeats > 0
+                        && !rs.evicting
                         && !rs.stall_killed
                         && now.duration_since(rs.last_rss_poll) >= config.rss_poll_interval
                     {
@@ -861,7 +871,10 @@ pub fn run(
         // Precedence: a straggler is slow, not silent. The worker must
         // have heartbeated *after* it crossed the threshold (which implies
         // it has run past it); one that went quiet before it belongs to
-        // the stall watchdog, whichever of the two limits is shorter.
+        // the stall watchdog, whichever of the two limits is shorter. It
+        // must also have heartbeated at least twice in this attempt: one
+        // line can be an attempt's first and last before it lands, which
+        // says nothing about its pace against the median.
         if pending.is_empty() && running.len() == 1 && !completed_walls.is_empty() {
             let rs = &mut running[0];
             if !states[rs.shard].redispatched && !rs.stall_killed && !rs.redispatch_killed {
@@ -870,7 +883,7 @@ pub fn run(
                 let median = walls[walls.len() / 2];
                 let threshold = median.mul_f64(config.straggler_factor.max(1.0));
                 let elapsed = rs.started.elapsed();
-                if rs.last_event.duration_since(rs.started) > threshold {
+                if rs.heartbeats >= 2 && rs.last_event.duration_since(rs.started) > threshold {
                     let _ = rs.child.kill();
                     rs.redispatch_killed = true;
                     states[rs.shard].redispatched = true;
@@ -902,7 +915,7 @@ pub fn worker_fail(spec: ShardSpec, message: &str) -> ! {
     std::process::exit(1);
 }
 
-/// The worker side of the protocol, shared by every worker shell once it
+/// The worker side of the protocol, called by the worker shell once it
 /// holds its prepared `flow`: loads the supervisor's test set from `dir`,
 /// attaches the drain `token`, runs shard `spec` to a landed result file
 /// while streaming band-granularity heartbeats on stdout, and exits.
@@ -917,15 +930,11 @@ pub fn worker_fail(spec: ShardSpec, message: &str) -> ! {
 /// at least one band of durable progress per evict/readmit cycle. That
 /// ordering is what makes RSS eviction livelock-free.
 ///
-/// `on_band` runs at every band checkpoint before its heartbeat is sent
-/// (a chaos hook: a callback that never returns silences the worker).
-pub fn run_worker(
-    flow: HdfTestFlow<'_>,
-    token: CancelToken,
-    spec: ShardSpec,
-    dir: &Path,
-    mut on_band: Option<&mut dyn FnMut()>,
-) -> ! {
+/// Chaos hook: `FASTMON_SHARD_HANG="<shard>:<flag-path>"` silences this
+/// worker forever at its first band checkpoint — once, arbitrated by
+/// `create_new` on the flag file — so tests can prove the stall watchdog
+/// kills it and the respawn resumes from the checkpoint.
+pub fn run_worker(flow: HdfTestFlow<'_>, token: CancelToken, spec: ShardSpec, dir: &Path) -> ! {
     let ShardSpec { shard, shards } = spec;
     let patterns = match flow.load_shard_patterns(dir) {
         Ok(p) => p,
@@ -933,14 +942,18 @@ pub fn run_worker(
     };
     let flow = flow.with_cancel(token);
     let total = patterns.len();
+    let mut hang_flag = std::env::var("FASTMON_SHARD_HANG").ok().and_then(|v| {
+        let (who, path) = v.split_once(':')?;
+        (who.parse::<usize>().ok()? == shard).then(|| PathBuf::from(path))
+    });
     let outcome = flow.run_shard_to_result(&patterns, shard, shards, dir, &mut |progress| {
         let line = match progress {
             CampaignProgress::Resumed { next_pattern, .. } => {
                 shard_events::resumed(shard, shards, next_pattern, total)
             }
             CampaignProgress::BandCheckpointed { next_pattern, .. } => {
-                if let Some(hook) = on_band.as_mut() {
-                    hook();
+                if let Some(flag) = hang_flag.take() {
+                    hang_once(&flag);
                 }
                 shard_events::heartbeat(shard, shards, next_pattern, total)
             }
@@ -958,5 +971,19 @@ pub fn run_worker(
             std::process::exit(EXIT_EVICTED);
         }
         Err(e) => worker_fail(spec, &e.to_string()),
+    }
+}
+
+/// Sleeps forever if this call is the one that creates `flag`.
+fn hang_once(flag: &Path) {
+    let created = std::fs::OpenOptions::new()
+        .write(true)
+        .create_new(true)
+        .open(flag)
+        .is_ok();
+    if created {
+        loop {
+            std::thread::sleep(Duration::from_secs(3600));
+        }
     }
 }

@@ -202,6 +202,29 @@ pub(crate) fn build_circuit(spec: &CircuitSpec) -> Result<Circuit, JobError> {
     }
 }
 
+/// Prepares the flow `req` describes on `circuit`: its seed, thread
+/// count and fault cap, and its SDF annotation when it carries one. Jobs
+/// and supervised shard workers both build their flow here, so a worker
+/// rebuilds exactly the campaign its supervisor runs.
+pub(crate) fn try_prepare<'c>(
+    circuit: &'c Circuit,
+    req: &JobRequest,
+) -> Result<HdfTestFlow<'c>, FlowError> {
+    let config = FlowConfig {
+        seed: req.seed,
+        threads: req.threads,
+        max_faults: req.max_faults,
+        ..FlowConfig::default()
+    };
+    match &req.sdf {
+        Some(text) => {
+            let annot = fastmon_timing::sdf::parse(text, circuit, config.sigma_rel)?;
+            HdfTestFlow::try_prepare_with_annotation(circuit, &config, annot)
+        }
+        None => HdfTestFlow::try_prepare(circuit, &config),
+    }
+}
+
 fn acquire(dirs: &CheckpointDir, fingerprint: u64) -> Result<JobStore, JobError> {
     match dirs.acquire(fingerprint) {
         Ok(store) => Ok(store),
@@ -273,21 +296,7 @@ pub fn run_job(
 ) -> Result<JobOutcome, JobError> {
     on_event(JobEvent::Phase { phase: "prepare" });
     let circuit = build_circuit(&req.circuit)?;
-    let config = FlowConfig {
-        seed: req.seed,
-        threads: req.threads,
-        max_faults: req.max_faults,
-        ..FlowConfig::default()
-    };
-    let flow = match &req.sdf {
-        Some(text) => {
-            let annot = fastmon_timing::sdf::parse(text, &circuit, config.sigma_rel)
-                .map_err(FlowError::from)?;
-            HdfTestFlow::try_prepare_with_annotation(&circuit, &config, annot)?
-        }
-        None => HdfTestFlow::try_prepare(&circuit, &config)?,
-    }
-    .with_cancel(cancel.clone());
+    let flow = try_prepare(&circuit, req)?.with_cancel(cancel.clone());
 
     let result = run_flow(&flow, req, dirs, results_dir, on_event);
     if let Some(sink) = metrics {

@@ -3,7 +3,7 @@
 //! A zero-dependency tracing and metrics layer shared by every fastmon
 //! crate. Three pieces:
 //!
-//! * **Spans** ([`span!`], [`span`], [`span_with`]): hierarchical phase
+//! * **Spans** ([`span!`], [`span()`], [`span_with`]): hierarchical phase
 //!   markers with monotonic timing, recorded to a per-thread buffer and
 //!   drained into a per-run JSONL event log (`events.jsonl`). Tracing is
 //!   env-gated: `FASTMON_TRACE=1` enables the event log,

@@ -1,6 +1,6 @@
 //! VCD (Value Change Dump) export of simulation results.
 //!
-//! Writes the waveforms of a [`SimResult`](crate::SimResult) in the classic
+//! Writes the waveforms of a [`SimResult`] in the classic
 //! IEEE-1364 VCD format, so launches, hazards and fault effects can be
 //! inspected in any waveform viewer (GTKWave etc.). Time is emitted in
 //! femtoseconds (`timescale 1fs`) so picosecond-fraction transition times
